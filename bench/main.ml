@@ -46,15 +46,10 @@
 let section title =
   Fmt.pr "@.== %s ==@." title
 
-(* ------------------------------------------------------------------ *)
-(* JSON output                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* JSON emitter + strict reader, shared with the test suite (see
-   bench/bench_json.ml). Aliased so the subcommands below read as
-   before. *)
-module Json = Bench_json.Json
-module Json_in = Bench_json.Json_in
+(* Every subcommand builds an [Obs.Json.t]; the gate table at the end
+   writes it, re-parses it through the same strict reader and exits
+   nonzero unless the subcommand's own check passed. *)
+module Json = Obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Table I                                                        *)
@@ -610,17 +605,6 @@ let faults () =
 let micro () =
   section "micro-benchmarks (Bechamel; real time per run)";
   let open Bechamel in
-  let heap_churn =
-    Test.make ~name:"simkit: heap push/pop x1000"
-      (Staged.stage (fun () ->
-           let h = Opc.Simkit.Heap.create ~cmp:Int.compare () in
-           for i = 0 to 999 do
-             Opc.Simkit.Heap.push h ((i * 7919) mod 1000)
-           done;
-           while not (Opc.Simkit.Heap.is_empty h) do
-             ignore (Opc.Simkit.Heap.pop h)
-           done))
-  in
   let engine_events =
     Test.make ~name:"simkit: engine 1000 events"
       (Staged.stage (fun () ->
@@ -659,7 +643,7 @@ let micro () =
   in
   let tests =
     Test.make_grouped ~name:"opc"
-      ([ heap_churn; engine_events ] @ List.map txn_of Opc.Acp.Protocol.all)
+      (engine_events :: List.map txn_of Opc.Acp.Protocol.all)
   in
   let benchmark () =
     let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -791,8 +775,8 @@ let profile ~smoke ~txns () =
         (* The speedscope file must itself be JSON our own strict parser
            accepts — catches escaping bugs at bench time, not in the
            browser. *)
-        (try ignore (Json_in.of_file speedscope)
-         with Json_in.Parse_error msg ->
+        (try ignore (Json.of_file speedscope)
+         with Json.Parse_error msg ->
            Fmt.epr "profile: %s is invalid JSON: %s@." speedscope msg;
            ok := false);
         Fmt.pr "wrote %s@." speedscope;
@@ -967,12 +951,10 @@ let scale ~smoke ~seeds ~txns () =
 (* ------------------------------------------------------------------ *)
 
 let write_jsonl path entries =
-  Json.mkdirs (Filename.dirname path);
-  let oc = open_out path in
-  List.iter
-    (fun e -> output_string oc (Fmt.str "%a\n" Obs.Journal.pp_entry e))
-    entries;
-  close_out oc
+  Json.write_file path (fun oc ->
+      List.iter
+        (fun e -> output_string oc (Fmt.str "%a\n" Obs.Journal.pp_entry e))
+        entries)
 
 let series_json series =
   let rows = ref [] in
@@ -1253,13 +1235,13 @@ let regression_check ~against ~tolerance () =
     exit 2
   end;
   let baseline =
-    try Json_in.of_file against
-    with Json_in.Parse_error msg ->
+    try Json.of_file against
+    with Json.Parse_error msg ->
       Fmt.epr "bench check: cannot parse %s: %s@." against msg;
       exit 2
   in
   let points =
-    match Json_in.member "points" baseline with
+    match Json.member "points" baseline with
     | Some (Json.List l) -> l
     | _ ->
         Fmt.epr "bench check: %s has no \"points\" array@." against;
@@ -1274,16 +1256,16 @@ let regression_check ~against ~tolerance () =
            events_per_s is the fallback for baselines predating the
            field. *)
         let eps_field =
-          match Json_in.(to_float (member "events_per_cpu_s" p)) with
+          match Json.(to_float (member "events_per_cpu_s" p)) with
           | Some _ as v -> v
-          | None -> Json_in.(to_float (member "events_per_s" p))
+          | None -> Json.(to_float (member "events_per_s" p))
         in
         match
-          ( Json_in.(to_str (member "protocol" p)),
-            Json_in.(to_int (member "servers" p)),
-            Json_in.(to_int (member "seed" p)),
-            Json_in.(to_int (member "txns" p)),
-            Json_in.(to_int (member "events" p)),
+          ( Json.(to_str (member "protocol" p)),
+            Json.(to_int (member "servers" p)),
+            Json.(to_int (member "seed" p)),
+            Json.(to_int (member "txns" p)),
+            Json.(to_int (member "events" p)),
             eps_field )
         with
         | Some proto, Some servers, Some seed, Some txns, Some events, Some eps
@@ -1351,7 +1333,7 @@ let regression_check ~against ~tolerance () =
       let attribution =
         if ok then []
         else
-          match Json_in.member "profile" baseline with
+          match Json.member "profile" baseline with
           | None ->
               Fmt.pr
                 "  subsystem attribution unavailable: baseline has no \
@@ -1360,20 +1342,20 @@ let regression_check ~against ~tolerance () =
           | Some bprof -> (
               let base_prof_events =
                 Option.value ~default:base_events
-                  Json_in.(to_int (member "events" bprof))
+                  Json.(to_int (member "events" bprof))
               in
               let base_total_cpu =
                 Option.value ~default:0
-                  Json_in.(to_int (member "total_cpu_ns" bprof))
+                  Json.(to_int (member "total_cpu_ns" bprof))
               in
               let base_subs =
-                match Json_in.member "subsystems" bprof with
+                match Json.member "subsystems" bprof with
                 | Some (Json.List l) ->
                     List.filter_map
                       (fun s ->
                         match
-                          ( Json_in.(to_str (member "subsystem" s)),
-                            Json_in.(to_int (member "cpu_ns" s)) )
+                          ( Json.(to_str (member "subsystem" s)),
+                            Json.(to_int (member "cpu_ns" s)) )
                         with
                         | Some name, Some cpu -> Some (name, cpu)
                         | _ -> None)
@@ -2155,29 +2137,25 @@ let coverage ~smoke ~seeds ~inflated_floors () =
 
 (* ------------------------------------------------------------------ *)
 
-let subcommands :
-    (string * (unit -> Json.t)) list Lazy.t =
-  lazy
-    [
-      ("table1", table1);
-      ("aborts", aborts);
-      ("fig6", fig6);
-      ("latency", latency);
-      ("ablate-disk", ablate_disk);
-      ("ablate-net", ablate_net);
-      ("ablate-conc", ablate_conc);
-      ("ablate-colo", ablate_colo);
-      ("ablate-batch", ablate_batch);
-      ("shared-disk", shared_disk);
-      ("ablate-dirs", ablate_dirs);
-      ("group-commit", group_commit);
-      ("faults", faults);
-      ("micro", micro);
-    ]
-
-let all () =
-  Json.Obj
-    (List.map (fun (name, f) -> (name, f ())) (Lazy.force subcommands))
+(* The paper's experiments and ablations: no gate of their own, and
+   [all] runs them in this order. *)
+let experiments =
+  [
+    ("table1", table1);
+    ("aborts", aborts);
+    ("fig6", fig6);
+    ("latency", latency);
+    ("ablate-disk", ablate_disk);
+    ("ablate-net", ablate_net);
+    ("ablate-conc", ablate_conc);
+    ("ablate-colo", ablate_colo);
+    ("ablate-batch", ablate_batch);
+    ("shared-disk", shared_disk);
+    ("ablate-dirs", ablate_dirs);
+    ("group-commit", group_commit);
+    ("faults", faults);
+    ("micro", micro);
+  ]
 
 let usage () =
   Fmt.epr
@@ -2205,7 +2183,7 @@ let usage () =
      edges)@.every \
      subcommand writes BENCH_<name>.json (override \
      with --json) and prints the path@."
-    (String.concat " | " (List.map fst (Lazy.force subcommands)))
+    (String.concat " | " (List.map fst experiments))
 
 let () =
   let command = ref None in
@@ -2288,89 +2266,60 @@ let () =
     end
   in
   parse 1;
-  (* Every subcommand leaves a JSON artifact and says where it went —
-     CI and scripts never have to guess the default path. *)
-  let emit ~default json =
-    let path = Option.value !json_path ~default in
-    Json.to_file path json;
-    Fmt.pr "wrote %s@." path
+  (* One row per subcommand: run it, get its artifact and whether its
+     gate passed. *)
+  let gates =
+    [
+      ( "all",
+        fun () ->
+          (Json.Obj (List.map (fun (name, f) -> (name, f ())) experiments), true)
+      );
+      ( "scale",
+        fun () ->
+          (* 10k txns keeps the smoke sweep a few seconds while making each
+             timed window ~0.3 s — long enough for `bench check` to
+             re-measure a point without transients dominating. *)
+          if !smoke then txns := min !txns 10_000;
+          if !smoke then seeds := 1;
+          (scale ~smoke:!smoke ~seeds:!seeds ~txns:!txns (), true) );
+      ( "breakdown",
+        fun () ->
+          let count = if !txns_set then !txns else if !smoke then 5 else 20 in
+          breakdown ~wrong_l1pc_row:!wrong_l1pc_row ~count () );
+      ("timeline", fun () -> timeline ~smoke:!smoke ());
+      ( "profile",
+        fun () ->
+          if !smoke && not !txns_set then txns := 10_000;
+          profile ~smoke:!smoke ~txns:!txns () );
+      ( "check",
+        fun () -> regression_check ~against:!against ~tolerance:!tolerance () );
+      ("overload", fun () -> overload ~smoke:!smoke ~unbounded:!unbounded ());
+      ( "drill",
+        fun () ->
+          let seeds = if !seeds_set then !seeds else if !smoke then 3 else 5 in
+          drill ~smoke:!smoke ~seeds ~impossible_slo:!impossible_slo () );
+      ( "coverage",
+        fun () ->
+          let seeds = if !seeds_set then !seeds else if !smoke then 4 else 25 in
+          coverage ~smoke:!smoke ~seeds ~inflated_floors:!inflated_floors () );
+    ]
+    @ List.map (fun (name, f) -> (name, fun () -> (f (), true))) experiments
   in
-  match Option.value !command ~default:"all" with
-  | "all" -> emit ~default:"BENCH_all.json" (all ())
-  | "scale" ->
-      (* 10k txns keeps the smoke sweep a few seconds while making each
-         timed window ~0.3 s — long enough for `bench check` to
-         re-measure a point without transients dominating. *)
-      if !smoke then txns := min !txns 10_000;
-      if !smoke then seeds := 1;
-      emit ~default:"BENCH_scale.json"
-        (scale ~smoke:!smoke ~seeds:!seeds ~txns:!txns ())
-  | "breakdown" ->
-      let count =
-        if !txns_set then !txns else if !smoke then 5 else 20
+  let name = Option.value !command ~default:"all" in
+  match List.assoc_opt name gates with
+  | None -> bad "unknown experiment %S" name
+  | Some run ->
+      (* Every subcommand leaves a JSON artifact, says where it went, and
+         proves it parses before its own gate decides the exit code. *)
+      let json, ok = run () in
+      let path =
+        Option.value !json_path ~default:("BENCH_" ^ name ^ ".json")
       in
-      let json, ok = breakdown ~wrong_l1pc_row:!wrong_l1pc_row ~count () in
-      emit ~default:"BENCH_breakdown.json" json;
-      if not ok then exit 1
-  | "timeline" ->
-      let json, ok = timeline ~smoke:!smoke () in
-      emit ~default:"BENCH_timeline.json" json;
-      if not ok then exit 1
-  | "profile" ->
-      if !smoke && not !txns_set then txns := 10_000;
-      let json, ok = profile ~smoke:!smoke ~txns:!txns () in
-      emit ~default:"BENCH_profile.json" json;
-      (* Round-trip the artifact through our own strict parser, like the
-         per-protocol speedscope files above. *)
-      let path = Option.value !json_path ~default:"BENCH_profile.json" in
-      (try ignore (Json_in.of_file path)
-       with Json_in.Parse_error msg ->
-         Fmt.epr "profile: %s is invalid JSON: %s@." path msg;
+      (try
+         Json.to_file path json;
+         Fmt.pr "wrote %s@." path;
+         ignore (Json.of_file path)
+       with Invalid_argument msg | Json.Parse_error msg ->
+         Fmt.epr "%s: %s is not valid JSON: %s@." name path msg;
          exit 1);
       if not ok then exit 1
-  | "check" ->
-      let json, ok =
-        regression_check ~against:!against ~tolerance:!tolerance ()
-      in
-      emit ~default:"BENCH_check.json" json;
-      if not ok then exit 1
-  | "overload" ->
-      let json, ok = overload ~smoke:!smoke ~unbounded:!unbounded () in
-      emit ~default:"BENCH_overload.json" json;
-      (* Round-trip the artifact through our own strict parser. *)
-      let path = Option.value !json_path ~default:"BENCH_overload.json" in
-      (try ignore (Json_in.of_file path)
-       with Json_in.Parse_error msg ->
-         Fmt.epr "overload: %s is invalid JSON: %s@." path msg;
-         exit 1);
-      if not ok then exit 1
-  | "drill" ->
-      let drill_seeds =
-        if !seeds_set then !seeds else if !smoke then 3 else 5
-      in
-      let json, ok =
-        drill ~smoke:!smoke ~seeds:drill_seeds
-          ~impossible_slo:!impossible_slo ()
-      in
-      emit ~default:"BENCH_drill.json" json;
-      if not ok then exit 1
-  | "coverage" ->
-      let cov_seeds =
-        if !seeds_set then !seeds else if !smoke then 4 else 25
-      in
-      let json, ok =
-        coverage ~smoke:!smoke ~seeds:cov_seeds
-          ~inflated_floors:!inflated_floors ()
-      in
-      emit ~default:"BENCH_coverage.json" json;
-      (* Round-trip the artifact through our own strict parser. *)
-      let path = Option.value !json_path ~default:"BENCH_coverage.json" in
-      (try ignore (Json_in.of_file path)
-       with Json_in.Parse_error msg ->
-         Fmt.epr "coverage: %s is invalid JSON: %s@." path msg;
-         exit 1);
-      if not ok then exit 1
-  | name -> (
-      match List.assoc_opt name (Lazy.force subcommands) with
-      | Some f -> emit ~default:("BENCH_" ^ name ^ ".json") (f ())
-      | None -> bad "unknown experiment %S" name)

@@ -19,7 +19,7 @@
 # 6. profile smoke: one host-profiled scale point per protocol; the
 #    bench exits nonzero unless every profile has buckets and telescopes
 #    exactly (buckets + residual == total CPU), and both BENCH_profile.json
-#    and the speedscope files re-parse through its own JSON reader;
+#    and the speedscope files re-parse through Obs.Json's strict reader;
 # 7. perf-regression gate: re-measures the heaviest 1PC point from the
 #    BENCH_scale.json written in step 3 (same machine, same run) and
 #    fails if events/s drops more than 15%; a tighter 5% pass first
@@ -49,7 +49,10 @@
 #    protocols cover >= 90% of their declared edge maps, every run
 #    conserves messages exactly (sent = delivered + dup + dropped +
 #    in-flight) and every probe settles — plus a negative control with
-#    floors inflated past 100% that must trip and name never-hit edges.
+#    floors inflated past 100% that must trip and name never-hit edges;
+# 12. benchmark self-test on hot-dir: builds perfbench against this
+#    library and checks metric names and units against BENCHMARK.json,
+#    settle, invariants, oracles and seed repeatability.
 set -eu
 
 cd "$(dirname "$0")"
@@ -93,7 +96,7 @@ dune exec bench/main.exe -- timeline --smoke
 echo "== bench profile --smoke (host CPU/alloc attribution) =="
 # The bench self-validates: nonempty buckets per protocol, exact
 # telescoping, and both BENCH_profile.json and the speedscope files
-# re-parsed through its own strict JSON reader. Any violation exits 1.
+# re-parsed through Obs.Json's strict reader. Any violation exits 1.
 dune exec bench/main.exe -- profile --smoke
 
 echo "== bench check at 5% (profiler-disabled path vs same-run baseline) =="
@@ -134,7 +137,7 @@ echo "== bench overload --smoke (goodput across the knee, gated) =="
 # Sweeps offered load past the capacity knee for every protocol and
 # exits 1 unless every protocol holds >= 25% of its peak goodput at the
 # heaviest offered load with zero oracle violations. The artifact is
-# re-parsed through the bench's own strict JSON reader.
+# re-parsed through Obs.Json's strict reader.
 dune exec bench/main.exe -- overload --smoke
 
 echo "== bench overload negative test (unbounded admission must fail) =="
@@ -249,5 +252,8 @@ echo "== bench coverage (transition-map floors + conservation ledger) =="
 # transition map, message conservation holds exactly on every run, and
 # every probe settles with a balanced ledger.
 dune exec bench/main.exe -- coverage
+
+echo "== perfbench self-test (hot-dir) =="
+python3 perfbench/selftest.py hot-dir
 
 echo "CI OK"

@@ -1,60 +1,24 @@
-exception Malformed of string
+(* Unsigned LEB128 over OCaml's 63-bit non-negative ints. *)
+let write_varint buf n =
+  if n < 0 then invalid_arg "Codec: negative varint";
+  let rec go n =
+    if n < 0x80 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7F)));
+      go (n lsr 7)
+    end
+  in
+  go n
 
-let fail fmt = Fmt.kstr (fun s -> raise (Malformed s)) fmt
-
-module Prim = struct
-  (* Unsigned LEB128 over OCaml's 63-bit non-negative ints. *)
-  let write_varint buf n =
-    if n < 0 then invalid_arg "Codec: negative varint";
-    let rec go n =
-      if n < 0x80 then Buffer.add_char buf (Char.chr n)
-      else begin
-        Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7F)));
-        go (n lsr 7)
-      end
-    in
-    go n
-
-  let read_varint s pos =
-    let rec go shift acc count =
-      if count > 9 then fail "varint too long";
-      if !pos >= String.length s then fail "truncated varint";
-      let b = Char.code s.[!pos] in
-      incr pos;
-      let acc = acc lor ((b land 0x7F) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc (count + 1)
-    in
-    go 0 0 0
-
-  let write_string buf s =
-    write_varint buf (String.length s);
-    Buffer.add_string buf s
-
-  let read_string s pos =
-    let len = read_varint s pos in
-    if !pos + len > String.length s then fail "truncated string";
-    let out = String.sub s !pos len in
-    pos := !pos + len;
-    out
-end
-
-open Prim
+let write_string buf s =
+  write_varint buf (String.length s);
+  Buffer.add_string buf s
 
 let write_list buf write xs =
   write_varint buf (List.length xs);
   List.iter (write buf) xs
 
-let read_list s pos read =
-  let n = read_varint s pos in
-  List.init n (fun _ -> read s pos)
-
 let write_tag buf t = Buffer.add_char buf (Char.chr t)
-
-let read_tag s pos =
-  if !pos >= String.length s then fail "truncated tag";
-  let t = Char.code s.[!pos] in
-  incr pos;
-  t
 
 (* ------------------------------------------------------------------ *)
 (* Updates                                                             *)
@@ -63,12 +27,6 @@ let read_tag s pos =
 let write_kind buf = function
   | Mds.Update.File -> write_tag buf 0
   | Mds.Update.Directory -> write_tag buf 1
-
-let read_kind s pos =
-  match read_tag s pos with
-  | 0 -> Mds.Update.File
-  | 1 -> Mds.Update.Directory
-  | t -> fail "unknown inode kind %d" t
 
 let write_update buf (u : Mds.Update.t) =
   match u with
@@ -96,27 +54,6 @@ let write_update buf (u : Mds.Update.t) =
       write_tag buf 5;
       write_varint buf ino
 
-let read_update s pos : Mds.Update.t =
-  match read_tag s pos with
-  | 0 ->
-      let ino = read_varint s pos in
-      let kind = read_kind s pos in
-      let nlink = read_varint s pos in
-      Create_inode { ino; kind; nlink }
-  | 1 ->
-      let dir = read_varint s pos in
-      let name = read_string s pos in
-      let target = read_varint s pos in
-      Link { dir; name; target }
-  | 2 ->
-      let dir = read_varint s pos in
-      let name = read_string s pos in
-      Unlink { dir; name }
-  | 3 -> Ref { ino = read_varint s pos }
-  | 4 -> Unref { ino = read_varint s pos }
-  | 5 -> Touch { ino = read_varint s pos }
-  | t -> fail "unknown update tag %d" t
-
 (* ------------------------------------------------------------------ *)
 (* Operations and plans                                                *)
 (* ------------------------------------------------------------------ *)
@@ -139,35 +76,10 @@ let write_op buf (op : Mds.Op.t) =
       write_varint buf dst_dir;
       write_string buf dst_name
 
-let read_op s pos : Mds.Op.t =
-  match read_tag s pos with
-  | 0 ->
-      let parent = read_varint s pos in
-      let name = read_string s pos in
-      let kind = read_kind s pos in
-      Create { parent; name; kind }
-  | 1 ->
-      let parent = read_varint s pos in
-      let name = read_string s pos in
-      Delete { parent; name }
-  | 2 ->
-      let src_dir = read_varint s pos in
-      let src_name = read_string s pos in
-      let dst_dir = read_varint s pos in
-      let dst_name = read_string s pos in
-      Rename { src_dir; src_name; dst_dir; dst_name }
-  | t -> fail "unknown op tag %d" t
-
 let write_side buf (side : Mds.Plan.side) =
   write_varint buf side.Mds.Plan.server;
   write_list buf write_varint side.Mds.Plan.lock_oids;
   write_list buf write_update side.Mds.Plan.updates
-
-let read_side s pos : Mds.Plan.side =
-  let server = read_varint s pos in
-  let lock_oids = read_list s pos read_varint in
-  let updates = read_list s pos read_update in
-  { Mds.Plan.server; lock_oids; updates }
 
 let write_plan buf (plan : Mds.Plan.t) =
   write_op buf plan.Mds.Plan.op;
@@ -179,18 +91,6 @@ let write_plan buf (plan : Mds.Plan.t) =
   write_side buf plan.Mds.Plan.coordinator;
   write_list buf write_side plan.Mds.Plan.workers
 
-let read_plan s pos : Mds.Plan.t =
-  let op = read_op s pos in
-  let new_ino =
-    match read_tag s pos with
-    | 0 -> None
-    | 1 -> Some (read_varint s pos)
-    | t -> fail "unknown option tag %d" t
-  in
-  let coordinator = read_side s pos in
-  let workers = read_list s pos read_side in
-  { Mds.Plan.op; new_ino; coordinator; workers }
-
 (* ------------------------------------------------------------------ *)
 (* Records                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -198,11 +98,6 @@ let read_plan s pos : Mds.Plan.t =
 let write_txn buf (id : Txn.id) =
   write_varint buf id.Txn.origin;
   write_varint buf id.Txn.seq
-
-let read_txn s pos =
-  let origin = read_varint s pos in
-  let seq = read_varint s pos in
-  { Txn.origin; seq }
 
 let write_record buf (r : Log_record.t) =
   match r with
@@ -231,245 +126,7 @@ let write_record buf (r : Log_record.t) =
       write_tag buf 6;
       write_txn buf txn
 
-let read_record s pos : Log_record.t =
-  match read_tag s pos with
-  | 0 ->
-      let txn = read_txn s pos in
-      let participants = read_list s pos read_varint in
-      Started { txn; participants }
-  | 1 ->
-      let txn = read_txn s pos in
-      let plan = read_plan s pos in
-      Redo { txn; plan }
-  | 2 ->
-      let txn = read_txn s pos in
-      let updates = read_list s pos read_update in
-      Updates { txn; updates }
-  | 3 -> Prepared { txn = read_txn s pos }
-  | 4 -> Committed { txn = read_txn s pos }
-  | 5 -> Aborted { txn = read_txn s pos }
-  | 6 -> Ended { txn = read_txn s pos }
-  | t -> fail "unknown record tag %d" t
-
-(* ------------------------------------------------------------------ *)
-(* Messages                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let write_bool buf b = write_tag buf (if b then 1 else 0)
-
-let read_bool s pos =
-  match read_tag s pos with
-  | 0 -> false
-  | 1 -> true
-  | t -> fail "unknown bool tag %d" t
-
-let write_message buf (m : Wire.t) =
-  match m with
-  | Update_req { txn; updates; piggyback_prepare; one_phase } ->
-      write_tag buf 0;
-      write_txn buf txn;
-      write_list buf write_update updates;
-      write_bool buf piggyback_prepare;
-      write_bool buf one_phase
-  | Updated { txn; ok } ->
-      write_tag buf 1;
-      write_txn buf txn;
-      write_bool buf ok
-  | Prepare { txn } ->
-      write_tag buf 2;
-      write_txn buf txn
-  | Prepared { txn; vote } ->
-      write_tag buf 3;
-      write_txn buf txn;
-      write_bool buf vote
-  | Commit { txn } ->
-      write_tag buf 4;
-      write_txn buf txn
-  | Abort { txn } ->
-      write_tag buf 5;
-      write_txn buf txn
-  | Ack { txn } ->
-      write_tag buf 6;
-      write_txn buf txn
-  | Decision_req { txn } ->
-      write_tag buf 7;
-      write_txn buf txn
-  | Decision { txn; committed } ->
-      write_tag buf 8;
-      write_txn buf txn;
-      write_bool buf committed
-  | Ack_req { txn } ->
-      write_tag buf 9;
-      write_txn buf txn
-  | Vote_req { txn; updates } ->
-      write_tag buf 10;
-      write_txn buf txn;
-      write_list buf write_update updates
-  | Vote { txn; vote } ->
-      write_tag buf 11;
-      write_txn buf txn;
-      write_bool buf vote
-  | Rep_store { txn; owner; updates } ->
-      write_tag buf 12;
-      write_txn buf txn;
-      write_varint buf owner;
-      write_list buf write_update updates
-  | Rep_ack { txn } ->
-      write_tag buf 13;
-      write_txn buf txn
-  | Decide { txn; commit; updates } ->
-      write_tag buf 14;
-      write_txn buf txn;
-      write_bool buf commit;
-      write_list buf write_update updates
-  | Decide_ack { txn } ->
-      write_tag buf 15;
-      write_txn buf txn
-  | Rep_drop { txn } ->
-      write_tag buf 16;
-      write_txn buf txn
-  | Recover_req { owner } ->
-      write_tag buf 17;
-      write_varint buf owner
-  | Recover_resp { owner; items } ->
-      write_tag buf 18;
-      write_varint buf owner;
-      write_list buf
-        (fun b (id, ups) ->
-          write_txn b id;
-          write_list b write_update ups)
-        items
-
-let read_message s pos : Wire.t =
-  match read_tag s pos with
-  | 0 ->
-      let txn = read_txn s pos in
-      let updates = read_list s pos read_update in
-      let piggyback_prepare = read_bool s pos in
-      let one_phase = read_bool s pos in
-      Update_req { txn; updates; piggyback_prepare; one_phase }
-  | 1 ->
-      let txn = read_txn s pos in
-      let ok = read_bool s pos in
-      Updated { txn; ok }
-  | 2 -> Prepare { txn = read_txn s pos }
-  | 3 ->
-      let txn = read_txn s pos in
-      let vote = read_bool s pos in
-      Prepared { txn; vote }
-  | 4 -> Commit { txn = read_txn s pos }
-  | 5 -> Abort { txn = read_txn s pos }
-  | 6 -> Ack { txn = read_txn s pos }
-  | 7 -> Decision_req { txn = read_txn s pos }
-  | 8 ->
-      let txn = read_txn s pos in
-      let committed = read_bool s pos in
-      Decision { txn; committed }
-  | 9 -> Ack_req { txn = read_txn s pos }
-  | 10 ->
-      let txn = read_txn s pos in
-      let updates = read_list s pos read_update in
-      Vote_req { txn; updates }
-  | 11 ->
-      let txn = read_txn s pos in
-      let vote = read_bool s pos in
-      Vote { txn; vote }
-  | 12 ->
-      let txn = read_txn s pos in
-      let owner = read_varint s pos in
-      let updates = read_list s pos read_update in
-      Rep_store { txn; owner; updates }
-  | 13 -> Rep_ack { txn = read_txn s pos }
-  | 14 ->
-      let txn = read_txn s pos in
-      let commit = read_bool s pos in
-      let updates = read_list s pos read_update in
-      Decide { txn; commit; updates }
-  | 15 -> Decide_ack { txn = read_txn s pos }
-  | 16 -> Rep_drop { txn = read_txn s pos }
-  | 17 -> Recover_req { owner = read_varint s pos }
-  | 18 ->
-      let owner = read_varint s pos in
-      let items =
-        read_list s pos (fun s pos ->
-            let id = read_txn s pos in
-            let ups = read_list s pos read_update in
-            (id, ups))
-      in
-      Recover_resp { owner; items }
-  | t -> fail "unknown message tag %d" t
-
-let with_buffer write x =
+let encoded_size r =
   let buf = Buffer.create 64 in
-  write buf x;
-  Buffer.contents buf
-
-let decode_all read s =
-  let pos = ref 0 in
-  let v = read s pos in
-  if !pos <> String.length s then fail "trailing bytes";
-  v
-
-let encode_record = with_buffer write_record
-let decode_record = decode_all read_record
-let encoded_size r = String.length (encode_record r)
-let encode_update = with_buffer write_update
-let decode_update = decode_all read_update
-let encode_plan = with_buffer write_plan
-let decode_plan = decode_all read_plan
-let encode_message = with_buffer write_message
-let decode_message = decode_all read_message
-let encoded_message_size m = String.length (encode_message m)
-
-(* ------------------------------------------------------------------ *)
-(* Wire-tag reflection                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The conservation ledger counts messages by the same tag the encoder
-   writes, so the accounting dimension is pinned to the wire format: a
-   new constructor cannot be added without extending both (the
-   round-trip property test covers every tag). *)
-let tag : Wire.t -> int = function
-  | Update_req _ -> 0
-  | Updated _ -> 1
-  | Prepare _ -> 2
-  | Prepared _ -> 3
-  | Commit _ -> 4
-  | Abort _ -> 5
-  | Ack _ -> 6
-  | Decision_req _ -> 7
-  | Decision _ -> 8
-  | Ack_req _ -> 9
-  | Vote_req _ -> 10
-  | Vote _ -> 11
-  | Rep_store _ -> 12
-  | Rep_ack _ -> 13
-  | Decide _ -> 14
-  | Decide_ack _ -> 15
-  | Rep_drop _ -> 16
-  | Recover_req _ -> 17
-  | Recover_resp _ -> 18
-
-let tag_count = 19
-
-let tag_name = function
-  | 0 -> "UPDATE_REQ"
-  | 1 -> "UPDATED"
-  | 2 -> "PREPARE"
-  | 3 -> "PREPARED"
-  | 4 -> "COMMIT"
-  | 5 -> "ABORT"
-  | 6 -> "ACK"
-  | 7 -> "DECISION_REQ"
-  | 8 -> "DECISION"
-  | 9 -> "ACK_REQ"
-  | 10 -> "VOTE_REQ"
-  | 11 -> "VOTE"
-  | 12 -> "REP_STORE"
-  | 13 -> "REP_ACK"
-  | 14 -> "DECIDE"
-  | 15 -> "DECIDE_ACK"
-  | 16 -> "REP_DROP"
-  | 17 -> "RECOVER_REQ"
-  | 18 -> "RECOVER_RESP"
-  | _ -> "?"
+  write_record buf r;
+  Buffer.length buf

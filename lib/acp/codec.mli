@@ -1,65 +1,13 @@
-(** Binary serialization of log records.
+(** Exact encoded size of a log record.
 
-    A compact, self-describing wire format for everything a metadata
-    server logs: LEB128 varints, length-prefixed strings, tagged
-    variants. Two uses:
-
-    - {e principled sizing}: with [Config.encoded_sizes] the disk model
-      charges each record its exact encoded footprint instead of the
-      calibrated constants — an ablation showing the paper's result does
-      not hinge on the calibration;
-    - {e fidelity}: a real WAL stores bytes; round-tripping every record
-      through this codec (property-tested) demonstrates the log contents
-      are genuinely serializable state, not opaque closures.
-
-    Decoding is total over encoder output and fails with {!Malformed} on
-    anything else (truncation, unknown tags, overlong varints). *)
-
-exception Malformed of string
-
-val encode_record : Log_record.t -> string
-val decode_record : string -> Log_record.t
-(** @raise Malformed on invalid input. *)
+    Each record is sized as a compact, self-describing binary encoding
+    would store it: LEB128 varints, length-prefixed strings, tagged
+    variants. With [Config.encoded_sizes] the disk model charges each
+    record this footprint instead of the calibrated constants, an
+    ablation showing the paper's result does not hinge on the
+    calibration. Nothing in the simulator decodes records, so only the
+    writer exists. *)
 
 val encoded_size : Log_record.t -> int
-(** [String.length (encode_record r)]. *)
-
-val encode_update : Mds.Update.t -> string
-val decode_update : string -> Mds.Update.t
-
-val encode_plan : Mds.Plan.t -> string
-val decode_plan : string -> Mds.Plan.t
-
-val encode_message : Wire.t -> string
-val decode_message : string -> Wire.t
-(** Every {!Wire.t} constructor round-trips; the interconnect carries
-    serializable protocol state just as the WAL does.
-    @raise Malformed on invalid input. *)
-
-val encoded_message_size : Wire.t -> int
-(** [String.length (encode_message m)]. *)
-
-val tag : Wire.t -> int
-(** The constructor's wire tag — the byte {!encode_message} writes
-    first. The message-conservation ledger counts per tag, so the
-    accounting dimension is exactly the wire format's. *)
-
-val tag_count : int
-(** Tags are dense in [0 .. tag_count - 1]. *)
-
-val tag_name : int -> string
-(** Protocol-speak name of a wire tag (["UPDATE_REQ"], ...); ["?"] for
-    anything outside [0 .. tag_count - 1]. *)
-
-(**/**)
-
-(** Primitive layer, exposed for tests. *)
-module Prim : sig
-  val write_varint : Buffer.t -> int -> unit
-  val read_varint : string -> int ref -> int
-  (** Reads at the position ref, advancing it. Varints are
-      non-negative; 10 bytes maximum. *)
-
-  val write_string : Buffer.t -> string -> unit
-  val read_string : string -> int ref -> string
-end
+(** Bytes in the record's encoding.
+    @raise Invalid_argument if the record holds a negative integer. *)

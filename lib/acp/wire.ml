@@ -64,26 +64,59 @@ let is_recovery = function
   | Recover_req _ | Recover_resp _ -> true
   | _ -> false
 
-let label = function
-  | Update_req _ -> "update_req"
-  | Updated _ -> "updated"
-  | Prepare _ -> "prepare"
-  | Prepared _ -> "prepared"
-  | Commit _ -> "commit"
-  | Abort _ -> "abort"
-  | Ack _ -> "ack"
-  | Decision_req _ -> "decision_req"
-  | Decision _ -> "decision"
-  | Ack_req _ -> "ack_req"
-  | Vote_req _ -> "vote_req"
-  | Vote _ -> "vote"
-  | Rep_store _ -> "rep_store"
-  | Rep_ack _ -> "rep_ack"
-  | Decide _ -> "decide"
-  | Decide_ack _ -> "decide_ack"
-  | Rep_drop _ -> "rep_drop"
-  | Recover_req _ -> "recover_req"
-  | Recover_resp _ -> "recover_resp"
+(* The one place that numbers and names the constructors. Tags are
+   dense, so the message-conservation ledger and the network meter can
+   count per tag in a flat array. *)
+let tag = function
+  | Update_req _ -> 0
+  | Updated _ -> 1
+  | Prepare _ -> 2
+  | Prepared _ -> 3
+  | Commit _ -> 4
+  | Abort _ -> 5
+  | Ack _ -> 6
+  | Decision_req _ -> 7
+  | Decision _ -> 8
+  | Ack_req _ -> 9
+  | Vote_req _ -> 10
+  | Vote _ -> 11
+  | Rep_store _ -> 12
+  | Rep_ack _ -> 13
+  | Decide _ -> 14
+  | Decide_ack _ -> 15
+  | Rep_drop _ -> 16
+  | Recover_req _ -> 17
+  | Recover_resp _ -> 18
+
+let labels =
+  [|
+    "update_req";
+    "updated";
+    "prepare";
+    "prepared";
+    "commit";
+    "abort";
+    "ack";
+    "decision_req";
+    "decision";
+    "ack_req";
+    "vote_req";
+    "vote";
+    "rep_store";
+    "rep_ack";
+    "decide";
+    "decide_ack";
+    "rep_drop";
+    "recover_req";
+    "recover_resp";
+  |]
+
+let tag_count = Array.length labels
+let label m = labels.(tag m)
+let tag_names = Array.map String.uppercase_ascii labels
+
+let tag_name t =
+  if t >= 0 && t < tag_count then tag_names.(t) else "?"
 
 let pp ppf m =
   match m with

@@ -70,4 +70,17 @@ val is_recovery : t -> bool
 val label : t -> string
 (** Short tag for tracing and ledger keys, e.g. ["prepare"]. *)
 
+val tag : t -> int
+(** The constructor's number. The message-conservation ledger and the
+    network meter count per tag, so there is one numbering for every
+    accounting dimension. *)
+
+val tag_count : int
+(** Tags are dense in [0 .. tag_count - 1]. *)
+
+val tag_name : int -> string
+(** Protocol-speak name of a tag: its {!label} in capitals
+    (["UPDATE_REQ"], ...); ["?"] for anything outside
+    [0 .. tag_count - 1]. *)
+
 val pp : Format.formatter -> t -> unit

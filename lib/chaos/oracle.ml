@@ -111,8 +111,8 @@ let conservation cluster =
     List.map
       (fun (tag, imbalance) ->
         let tag =
-          if tag = Acp.Codec.tag_count then "HEARTBEAT"
-          else Acp.Codec.tag_name tag
+          if tag = Acp.Wire.tag_count then "HEARTBEAT"
+          else Acp.Wire.tag_name tag
         in
         Conservation { tag; imbalance })
       (Netsim.Network.Meter.check meter)

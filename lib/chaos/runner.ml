@@ -95,8 +95,8 @@ let meter_stats cluster =
     List.init (Netsim.Network.Meter.tags m) (fun tag ->
         {
           tag =
-            (if tag = Acp.Codec.tag_count then "HEARTBEAT"
-             else Acp.Codec.tag_name tag);
+            (if tag = Acp.Wire.tag_count then "HEARTBEAT"
+             else Acp.Wire.tag_name tag);
           sent = Netsim.Network.Meter.sent m tag;
           delivered = Netsim.Network.Meter.delivered m tag;
           dup_delivered = Netsim.Network.Meter.dup_delivered m tag;

@@ -33,7 +33,7 @@ val chaos_mix : Workload.mix
     by the oracle at tolerance zero; [rejected] counts send-time
     refusals that never entered the fabric and sits outside the law. *)
 type tag_stats = {
-  tag : string;  (** {!Acp.Codec.tag_name}, or ["HEARTBEAT"] *)
+  tag : string;  (** {!Acp.Wire.tag_name}, or ["HEARTBEAT"] *)
   sent : int;
   delivered : int;
   dup_delivered : int;

@@ -241,19 +241,19 @@ let create (config : Config.t) =
   in
   (* The coverage observatory: an edge tap sized for the declared
      transition maps plus the per-wire-tag conservation meter, with
-     heartbeats on their own tag past the codec's. Both passive. *)
+     heartbeats on their own tag past the wire's. Both passive. *)
   let cover =
     if config.record_coverage then Obs.Coverage.create ~size:Acp.Edges.count
     else Obs.Coverage.disabled ()
   in
   let meter =
     if config.record_coverage then
-      Netsim.Network.Meter.create ~tags:(Acp.Codec.tag_count + 1)
+      Netsim.Network.Meter.create ~tags:(Acp.Wire.tag_count + 1)
     else Netsim.Network.Meter.disabled ()
   in
   let tag_of = function
-    | Msg.Heartbeat -> Acp.Codec.tag_count
-    | Msg.Acp wire -> Acp.Codec.tag wire
+    | Msg.Heartbeat -> Acp.Wire.tag_count
+    | Msg.Acp wire -> Acp.Wire.tag wire
   in
   let network =
     Netsim.Network.create ~engine ~rng:(Simkit.Rng.split rng) ~trace ~obs

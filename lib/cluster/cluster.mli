@@ -49,7 +49,7 @@ val coverage : t -> Obs.Coverage.t
 
 val meter : t -> Netsim.Network.Meter.t
 (** Per-wire-tag message-conservation ledger (heartbeats on tag
-    [Acp.Codec.tag_count]); disabled unless [record_coverage] is set. *)
+    [Acp.Wire.tag_count]); disabled unless [record_coverage] is set. *)
 
 val ledger : t -> Metrics.Ledger.t
 val network : t -> Msg.t Netsim.Network.t

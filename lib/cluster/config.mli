@@ -18,7 +18,7 @@ type t = {
   san : Storage.San.config;
   sizing : Acp.Log_record.sizing;
   encoded_sizes : bool;
-      (** charge each record its exact {!Acp.Codec} footprint instead of
+      (** charge each record its {!Acp.Codec.encoded_size} instead of
           the calibrated [sizing] constants (robustness ablation) *)
   method_latency : Simkit.Time.span;  (** per object read/write method *)
   txn_timeout : Simkit.Time.span;

@@ -50,15 +50,7 @@ let to_string tracer =
   to_buffer buf tracer;
   Buffer.contents buf
 
-let rec mkdirs dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdirs (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let to_file path tracer =
-  mkdirs (Filename.dirname path);
-  let oc = open_out path in
-  output_string oc (to_string tracer);
-  output_char oc '\n';
-  close_out oc
+  Json.write_file path (fun oc ->
+      output_string oc (to_string tracer);
+      output_char oc '\n')

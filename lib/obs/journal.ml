@@ -114,16 +114,8 @@ let pp_entry ppf e =
     (event_name e.kind)
     fields
 
-let rec mkdirs dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdirs (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let to_file path t =
-  mkdirs (Filename.dirname path);
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  iter (fun e -> Fmt.pf ppf "%a@\n" pp_entry e) t;
-  Format.pp_print_flush ppf ();
-  close_out oc
+  Json.write_file path (fun oc ->
+      let ppf = Format.formatter_of_out_channel oc in
+      iter (fun e -> Fmt.pf ppf "%a@\n" pp_entry e) t;
+      Format.pp_print_flush ppf ())

@@ -1,6 +1,6 @@
 (* The one JSON string escaper. Every hand-rolled JSON writer in the
-   tree (Chrome traces, journal JSONL, bench's emitter, speedscope
-   profiles) funnels through here so labels and fault descriptions with
+   tree (Chrome traces, journal and recorder JSONL, Json's emitter)
+   funnels through here so labels and fault descriptions with
    quotes, backslashes or control bytes cannot silently produce invalid
    JSON in one writer but not another. Strings are treated as bytes:
    anything >= 0x20 other than '"' and '\\' passes through verbatim. *)

@@ -1,8 +1,7 @@
 (** JSON string escaping, shared by every hand-rolled JSON writer.
 
     One implementation serves {!Export} (Chrome traces),
-    {!Journal.pp_entry} (JSONL), {!Prof} (speedscope) and bench's JSON
-    emitter, so an event label or fault description containing quotes,
+    {!Journal.pp_entry} (JSONL), {!Recorder} and {!Json}'s emitter, so an event label or fault description containing quotes,
     backslashes or control bytes escapes identically — and validly — in all of
     them. Short escapes ([\n] [\r] [\t] [\b] [\f]) where JSON has them,
     [\u00XX] for the remaining control bytes, everything else verbatim. *)

@@ -232,20 +232,12 @@ let to_table ?(top = 15) r =
 (* Speedscope                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdirs dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
-  then begin
-    mkdirs (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
 (* The "sampled" speedscope flavor: one two-frame stack
    [subsystem; subsystem/label] per bucket, weighted by self cpu_ns, plus
    a single engine/(residual) stack — so the rendered flame graph's root
    width is exactly [total_cpu_ns] and collapsing by the first frame
    gives the per-subsystem split. *)
-let speedscope_to_buffer ~name r =
-  let buf = Buffer.create 4096 in
+let speedscope_json ~name r =
   let frames = ref [] and n_frames = ref 0 in
   let frame label =
     frames := label :: !frames;
@@ -274,46 +266,34 @@ let speedscope_to_buffer ~name r =
           r.residual_cpu_ns );
       ]
   in
-  Buffer.add_string buf
-    "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",";
-  Buffer.add_string buf "\"shared\":{\"frames\":[";
-  List.iteri
-    (fun i label ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"name\":\"";
-      Json_str.add_escaped buf label;
-      Buffer.add_string buf "\"}")
-    (List.rev !frames);
-  Buffer.add_string buf "]},\"profiles\":[{\"type\":\"sampled\",";
-  Buffer.add_string buf "\"name\":\"";
-  Json_str.add_escaped buf name;
-  Buffer.add_string buf "\",\"unit\":\"nanoseconds\",";
-  Buffer.add_string buf "\"startValue\":0,";
-  Buffer.add_string buf
-    (Printf.sprintf "\"endValue\":%d,\"samples\":[" r.total_cpu_ns);
-  List.iteri
-    (fun i (stack, _) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun j f ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (string_of_int f))
-        stack;
-      Buffer.add_char buf ']')
-    stacks;
-  Buffer.add_string buf "],\"weights\":[";
-  List.iteri
-    (fun i (_, w) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int w))
-    stacks;
-  Buffer.add_string buf "]}]}";
-  buf
+  let ints xs = Json.List (List.map (fun x -> Json.Int x) xs) in
+  Json.Obj
+    [
+      ("$schema", Json.Str "https://www.speedscope.app/file-format-schema.json");
+      ( "shared",
+        Json.Obj
+          [
+            ( "frames",
+              Json.List
+                (List.rev_map
+                   (fun label -> Json.Obj [ ("name", Json.Str label) ])
+                   !frames) );
+          ] );
+      ( "profiles",
+        Json.List
+          [
+            Json.Obj
+              [
+                ("type", Json.Str "sampled");
+                ("name", Json.Str name);
+                ("unit", Json.Str "nanoseconds");
+                ("startValue", Json.Int 0);
+                ("endValue", Json.Int r.total_cpu_ns);
+                ("samples", Json.List (List.map (fun (st, _) -> ints st) stacks));
+                ("weights", ints (List.map snd stacks));
+              ];
+          ] );
+    ]
 
 let speedscope_to_file ~path ~name r =
-  mkdirs (Filename.dirname path);
-  let oc = open_out path in
-  Buffer.output_buffer oc (speedscope_to_buffer ~name r);
-  output_char oc '\n';
-  close_out oc
+  Json.to_file path (speedscope_json ~name r)

@@ -75,7 +75,7 @@ val to_table : ?top:int -> report -> Metrics.Table.t
 (** Top-[top] (default 15) buckets by CPU, a rollup row for the rest,
     then separator, residual and total rows. *)
 
-val speedscope_to_buffer : name:string -> report -> Buffer.t
+val speedscope_json : name:string -> report -> Json.t
 (** The profile as a speedscope "sampled" document: one
     [subsystem > subsystem/label] stack per bucket weighted by its self
     cpu_ns, plus the residual stack, so the flame graph's root spans
@@ -83,5 +83,5 @@ val speedscope_to_buffer : name:string -> report -> Buffer.t
     [speedscope <file>]. *)
 
 val speedscope_to_file : path:string -> name:string -> report -> unit
-(** Write {!speedscope_to_buffer} to [path], creating parent
+(** Write {!speedscope_json} to [path], creating parent
     directories as needed. *)

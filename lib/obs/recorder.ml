@@ -188,16 +188,8 @@ let pp_record ?gauge_columns ppf r =
       Fmt.pf ppf "{\"t_ns\":%d,\"type\":\"gauge\",\"gauge\":\"%s\",\"value\":%d}"
         t_ns (Json_str.escape gauge) r.b
 
-let rec mkdirs dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdirs (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let to_file ?gauge_columns path t =
-  mkdirs (Filename.dirname path);
-  let oc = open_out path in
-  let ppf = Format.formatter_of_out_channel oc in
-  iter_tail (fun r -> Fmt.pf ppf "%a@\n" (pp_record ?gauge_columns) r) t;
-  Format.pp_print_flush ppf ();
-  close_out oc
+  Json.write_file path (fun oc ->
+      let ppf = Format.formatter_of_out_channel oc in
+      iter_tail (fun r -> Fmt.pf ppf "%a@\n" (pp_record ?gauge_columns) r) t;
+      Format.pp_print_flush ppf ())

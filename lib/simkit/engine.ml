@@ -1,8 +1,7 @@
 type t = {
   mutable clock : Time.t;
   (* Inline 4-ary min-heap of pending events, ordered by (at, seq). The
-     heap is specialized here rather than using the generic {!Heap} so
-     the hot loop compares the two int fields directly — no comparator
+     hot loop compares the two int fields directly — no comparator
      closure, no [option] boxing on pop. Slots beyond [qlen] keep stale
      handles until overwritten; they are unreachable through the API. *)
   mutable q : handle array;

@@ -206,132 +206,7 @@ let test_breakdown_conservation () =
 (* Chrome trace-event export schema                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A miniature JSON reader — just enough to schema-check the export
-   without pulling in a JSON dependency. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse (s : string) : t =
-    let pos = ref 0 in
-    let len = String.length s in
-    let peek () = if !pos < len then s.[!pos] else raise (Bad "eof") in
-    let next () =
-      let c = peek () in
-      incr pos;
-      c
-    in
-    let rec skip_ws () =
-      if !pos < len then
-        match s.[!pos] with
-        | ' ' | '\t' | '\n' | '\r' ->
-            incr pos;
-            skip_ws ()
-        | _ -> ()
-    in
-    let expect c =
-      if next () <> c then raise (Bad (Printf.sprintf "expected %c" c))
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match next () with
-        | '"' -> Buffer.contents b
-        | '\\' -> (
-            match next () with
-            | '"' -> Buffer.add_char b '"'; go ()
-            | '\\' -> Buffer.add_char b '\\'; go ()
-            | '/' -> Buffer.add_char b '/'; go ()
-            | 'n' -> Buffer.add_char b '\n'; go ()
-            | 't' -> Buffer.add_char b '\t'; go ()
-            | 'r' -> Buffer.add_char b '\r'; go ()
-            | 'b' -> Buffer.add_char b '\b'; go ()
-            | 'f' -> Buffer.add_char b '\012'; go ()
-            | 'u' ->
-                let h = String.init 4 (fun _ -> next ()) in
-                Buffer.add_char b (Char.chr (int_of_string ("0x" ^ h) land 0xff));
-                go ()
-            | c -> raise (Bad (Printf.sprintf "bad escape %c" c)))
-        | c -> Buffer.add_char b c; go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let num_char c =
-        (c >= '0' && c <= '9')
-        || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while !pos < len && num_char s.[!pos] do incr pos done;
-      if !pos = start then raise (Bad "number expected");
-      Num (float_of_string (String.sub s start (!pos - start)))
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | '"' -> Str (parse_string ())
-      | '{' ->
-          expect '{';
-          skip_ws ();
-          if peek () = '}' then (incr pos; Obj [])
-          else begin
-            let rec members acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match next () with
-              | ',' -> members ((k, v) :: acc)
-              | '}' -> Obj (List.rev ((k, v) :: acc))
-              | c -> raise (Bad (Printf.sprintf "bad object char %c" c))
-            in
-            members []
-          end
-      | '[' ->
-          expect '[';
-          skip_ws ();
-          if peek () = ']' then (incr pos; List [])
-          else begin
-            let rec elems acc =
-              let v = parse_value () in
-              skip_ws ();
-              match next () with
-              | ',' -> elems (v :: acc)
-              | ']' -> List (List.rev (v :: acc))
-              | c -> raise (Bad (Printf.sprintf "bad array char %c" c))
-            in
-            elems []
-          end
-      | 't' ->
-          pos := !pos + 4;
-          Bool true
-      | 'f' ->
-          pos := !pos + 5;
-          Bool false
-      | 'n' ->
-          pos := !pos + 4;
-          Null
-      | _ -> parse_number ()
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> len then raise (Bad "trailing garbage");
-    v
-
-  let member k = function
-    | Obj kvs -> List.assoc_opt k kvs
-    | _ -> None
-end
+module Json = Obs.Json
 
 let test_export_schema () =
   let p = Experiment.run_breakdown ~count:2 Acp.Protocol.Opc in
@@ -339,7 +214,8 @@ let test_export_schema () =
   let json =
     match Json.parse s with
     | j -> j
-    | exception Json.Bad msg -> Alcotest.failf "export is not JSON: %s" msg
+    | exception Json.Parse_error msg ->
+        Alcotest.failf "export is not JSON: %s" msg
   in
   let events =
     match Json.member "traceEvents" json with
@@ -356,9 +232,9 @@ let test_export_schema () =
         | _ -> Alcotest.failf "event missing string %S" k
       in
       let num k =
-        match Json.member k ev with
-        | Some (Json.Num v) -> v
-        | _ -> Alcotest.failf "event %S missing number %S" (str "name") k
+        match Json.to_float (Json.member k ev) with
+        | Some v -> v
+        | None -> Alcotest.failf "event %S missing number %S" (str "name") k
       in
       let ph = str "ph" in
       Hashtbl.replace phases ph ();
@@ -404,15 +280,100 @@ let test_export_creates_parent_dirs () =
   let path = Filename.concat (Filename.concat dir "a/b") "trace.json" in
   Obs.Export.to_file path t;
   Alcotest.(check bool) "file exists" true (Sys.file_exists path);
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let contents = really_input_string ic n in
-  close_in ic;
-  (match Json.parse (String.trim contents) with
+  (match Json.of_file path with
   | Json.Obj _ -> ()
   | _ -> Alcotest.fail "exported file is not a JSON object"
-  | exception Json.Bad msg -> Alcotest.failf "exported file invalid: %s" msg);
+  | exception Json.Parse_error msg ->
+      Alcotest.failf "exported file invalid: %s" msg);
   Sys.remove path
+
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Documents JSON forbids, each with the offset the reader must stop at.
+   Python's json.loads rejects every one of them, so a writer that emits
+   any of these cannot pass the bench gate or the autopsy validator. *)
+let invalid_documents =
+  [
+    ("\"a\nb\"", 2, "raw newline in a string");
+    ("[\"\t\"]", 2, "raw tab in a string");
+    ("\"\001\"", 1, "raw control byte in a string");
+    ("+1", 0, "leading plus");
+    ("01", 1, "leading zero");
+    ("-01", 2, "leading zero after minus");
+    ("1.", 2, "fraction without digits");
+    (".5", 0, "fraction without integer part");
+    ("-", 1, "bare minus");
+    ("1e", 2, "exponent without digits");
+    ("1e+", 3, "signed exponent without digits");
+    ("NaN", 0, "NaN");
+    ("Infinity", 0, "Infinity");
+    ("True", 0, "capitalised literal");
+    ("nul", 0, "truncated null");
+    ("nulls", 4, "trailing letters after null");
+    ("", 0, "empty input");
+    ("1 2", 2, "two values");
+    ("[1,]", 3, "trailing comma in an array");
+    ("{\"a\":1,}", 7, "trailing comma in an object");
+    ("[1 2]", 3, "missing comma");
+    ("{1:2}", 1, "non-string key");
+    ("{\"a\" 1}", 5, "missing colon");
+    ("\"abc", 4, "unterminated string");
+    ("\"\\x\"", 2, "unknown escape");
+    ("\"\\u12\"", 2, "truncated \\u escape");
+    ("\"\\u12g4\"", 2, "non-hex \\u escape");
+  ]
+
+let test_json_rejects_invalid () =
+  List.iter
+    (fun (doc, offset, what) ->
+      match Json.parse doc with
+      | v -> Alcotest.failf "%s: %S accepted as %s" what doc (Json.to_string v)
+      | exception Json.Parse_error msg ->
+          let prefix = Printf.sprintf "offset %d:" offset in
+          if not (String.starts_with ~prefix msg) then
+            Alcotest.failf "%s: %S rejected with %S, want %S..." what doc msg
+              prefix)
+    invalid_documents
+
+let test_json_accepts_valid () =
+  let check doc want =
+    Alcotest.(check string) doc (Json.to_string want)
+      (Json.to_string (Json.parse doc))
+  in
+  check "null" Json.Null;
+  check " [ true , false ] " (Json.List [ Json.Bool true; Json.Bool false ]);
+  check "-0" (Json.Int 0);
+  check "0.5e-3" (Json.Float 0.0005);
+  check "1E+2" (Json.Float 100.);
+  check "123456789012345678901234567890" (Json.Float 1.2345678901234568e29);
+  check "\"\\u00e9\\u20ac\\/\"" (Json.Str "\xc3\xa9\xe2\x82\xac/");
+  check "{\"a\":{},\"b\":[]}" (Json.Obj [ ("a", Json.Obj []); ("b", Json.List []) ])
+
+let test_json_roundtrip () =
+  let v =
+    Json.Obj
+      [
+        ("null", Json.Null);
+        ("int", Json.Int (-42));
+        ("float", Json.Float 2.5);
+        ("big", Json.Float 1e300);
+        ("str", Json.Str "quote \" slash \\ nl \n bell \007");
+        ("list", Json.List [ Json.Bool true; Json.List []; Json.Obj [] ]);
+      ]
+  in
+  let s = Json.to_string v in
+  Alcotest.(check string) "emit . parse . emit" s
+    (Json.to_string (Json.parse s))
+
+let test_json_rejects_non_finite () =
+  List.iter
+    (fun f ->
+      match Json.to_string (Json.List [ Json.Float f ]) with
+      | s -> Alcotest.failf "non-finite %h emitted as %s" f s
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
 
 (* ------------------------------------------------------------------ *)
 (* Coverage                                                            *)
@@ -514,6 +475,17 @@ let () =
           Alcotest.test_case "chrome trace schema" `Quick test_export_schema;
           Alcotest.test_case "creates parent dirs" `Quick
             test_export_creates_parent_dirs;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "rejects invalid documents" `Quick
+            test_json_rejects_invalid;
+          Alcotest.test_case "accepts valid documents" `Quick
+            test_json_accepts_valid;
+          Alcotest.test_case "emit then parse round-trips" `Quick
+            test_json_roundtrip;
+          Alcotest.test_case "non-finite floats raise" `Quick
+            test_json_rejects_non_finite;
         ] );
       ( "coverage",
         [

@@ -158,13 +158,13 @@ let test_prof_guards () =
     (fun () -> Obs.Prof.attach on engine)
 
 (* ------------------------------------------------------------------ *)
-(* JSON escaping round-trips through the bench reader                  *)
+(* JSON escaping round-trips through Obs.Json's strict reader         *)
 (* ------------------------------------------------------------------ *)
 
 let roundtrip s =
   let doc = "\"" ^ Obs.Json_str.escape s ^ "\"" in
-  match Bench_json.Json_in.parse doc with
-  | Bench_json.Json.Str s' -> s'
+  match Obs.Json.parse doc with
+  | Obs.Json.Str s' -> s'
   | _ -> Alcotest.fail "escaped string parsed as a non-string"
 
 let test_escape_roundtrip_bytes () =
@@ -188,7 +188,7 @@ let test_escape_roundtrip_bytes () =
 
 let test_escape_roundtrip_random () =
   let gen = QCheck.string_of_size (QCheck.Gen.int_range 0 64) in
-  QCheck.Test.make ~count:500 ~name:"escape round-trips through Json_in" gen
+  QCheck.Test.make ~count:500 ~name:"escape round-trips through Obs.Json" gen
     (fun s -> roundtrip s = s)
   |> QCheck_alcotest.to_alcotest
 

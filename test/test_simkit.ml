@@ -42,118 +42,6 @@ let test_time_pp () =
     (String.length (str (Time.span_us 3)) > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:Int.compare () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  List.iter (Heap.push h) [ 5; 1; 4; 2; 3 ];
-  Alcotest.(check int) "length" 5 (Heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (Heap.to_sorted_list h);
-  Alcotest.(check int) "pop" 1 (Heap.pop_exn h);
-  Alcotest.(check int) "pop" 2 (Heap.pop_exn h);
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
-
-let test_heap_duplicates () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 2; 2; 1; 1; 3 ];
-  Alcotest.(check (list int)) "dups kept" [ 1; 1; 2; 2; 3 ]
-    (Heap.to_sorted_list h)
-
-let test_heap_fold () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Alcotest.(check int) "sum" 6 (Heap.fold_unordered ( + ) 0 h);
-  Alcotest.(check int) "undisturbed" 3 (Heap.length h)
-
-let prop_heap_sorts =
-  QCheck2.Test.make ~name:"heap extraction is sorted" ~count:300
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare () in
-      List.iter (Heap.push h) xs;
-      let drained =
-        List.init (List.length xs) (fun _ -> Heap.pop_exn h)
-      in
-      drained = List.sort Int.compare xs && Heap.is_empty h)
-
-let prop_heap_interleaved =
-  QCheck2.Test.make ~name:"interleaved push/pop respects order" ~count:200
-    QCheck2.Gen.(list (pair bool small_int))
-    (fun script ->
-      let h = Heap.create ~cmp:Int.compare () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, x) ->
-          if is_push then begin
-            Heap.push h x;
-            model := List.sort Int.compare (x :: !model);
-            true
-          end
-          else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some v, m :: rest ->
-                model := rest;
-                v = m
-            | Some _, [] | None, _ :: _ -> false)
-        script)
-
-(* Keyed like the engine's queue — (time, stamp) with stamps unique and
-   increasing — heavy on key collisions so the 4-ary sift's handling of
-   equal keys is exercised, not just its happy path. *)
-let prop_heap_stable_under_ties =
-  QCheck2.Test.make ~name:"equal keys pop in stamp order" ~count:300
-    QCheck2.Gen.(list (int_bound 8))
-    (fun keys ->
-      let cmp (ka, sa) (kb, sb) =
-        let c = Int.compare ka kb in
-        if c <> 0 then c else Int.compare sa sb
-      in
-      let h = Heap.create ~cmp () in
-      let stamped = List.mapi (fun stamp k -> (k, stamp)) keys in
-      List.iter (Heap.push h) stamped;
-      let drained =
-        List.init (List.length stamped) (fun _ -> Heap.pop_exn h)
-      in
-      drained = List.sort cmp stamped)
-
-(* Random interleaving of pushes and pops against the same reference
-   model, with colliding keys throughout. *)
-let prop_heap_ties_interleaved =
-  QCheck2.Test.make ~name:"interleaved ties respect stamp order" ~count:200
-    QCheck2.Gen.(list (pair bool (int_bound 4)))
-    (fun script ->
-      let cmp (ka, sa) (kb, sb) =
-        let c = Int.compare ka kb in
-        if c <> 0 then c else Int.compare sa sb
-      in
-      let h = Heap.create ~cmp () in
-      let model = ref [] in
-      let stamp = ref 0 in
-      List.for_all
-        (fun (is_push, key) ->
-          if is_push then begin
-            let x = (key, !stamp) in
-            incr stamp;
-            Heap.push h x;
-            model := List.sort cmp (x :: !model);
-            true
-          end
-          else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some v, m :: rest ->
-                model := rest;
-                v = m
-            | Some _, [] | None, _ :: _ -> false)
-        script)
-
-(* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -395,6 +283,78 @@ let prop_engine_fifo_ties =
       in
       ran = expected)
 
+(* The engine's inline 4-ary heap under the load that breaks heaps:
+   colliding times, events scheduled from inside handlers, and cancels
+   that leave tombstones in the queue, issued both before the run and
+   from handlers. Each script entry drives one event: its delay, how
+   many children its handler schedules, and which earlier event (by
+   schedule index, modulo the count so far) it cancels. Checked
+   throughout: dispatch strictly follows (time, schedule order), a
+   cancelled event never fires, and [pending] equals the model's live
+   count. *)
+let prop_engine_ties_interleaved =
+  QCheck2.Test.make
+    ~name:"ties with cancels and nesting" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 1 40)
+        (triple (int_bound 3) (int_bound 2) (opt (int_bound 63))))
+    (fun script ->
+      let spec = Array.of_list script in
+      let budget = 4 * Array.length spec in
+      let e = Engine.create () in
+      let events = Hashtbl.create 64 (* schedule index -> (at_ns, handle) *) in
+      let cancelled = Hashtbl.create 16 in
+      let scheduled = ref 0 and live = ref 0 and fired = ref [] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let cancel_some = function
+        | Some k when !scheduled > 0 ->
+            let idx = k mod !scheduled in
+            let _, h = Hashtbl.find events idx in
+            if Engine.is_pending h then begin
+              Engine.cancel h;
+              Hashtbl.replace cancelled idx ();
+              decr live;
+              expect (not (Engine.is_pending h))
+            end
+        | _ -> ()
+      in
+      let rec schedule i =
+        let delay, _, _ = spec.(i mod Array.length spec) in
+        let idx = !scheduled in
+        incr scheduled;
+        incr live;
+        let at = Time.to_ns (Engine.now e) + delay in
+        let h =
+          Engine.schedule e ~after:(Time.span_ns delay) (fun () -> fire idx i)
+        in
+        Hashtbl.replace events idx (at, h)
+      and fire idx i =
+        decr live;
+        expect (not (Hashtbl.mem cancelled idx));
+        expect (Time.to_ns (Engine.now e) = fst (Hashtbl.find events idx));
+        fired := (fst (Hashtbl.find events idx), idx) :: !fired;
+        let _, children, target = spec.(i mod Array.length spec) in
+        for c = 1 to children do
+          if !scheduled < budget then schedule (i + c)
+        done;
+        cancel_some target;
+        expect (Engine.pending e = !live)
+      in
+      Array.iteri (fun i _ -> schedule i) spec;
+      Array.iteri
+        (fun i (_, _, target) -> if i mod 3 = 0 then cancel_some target)
+        spec;
+      expect (Engine.pending e = !live);
+      ignore (Engine.run e);
+      let order = List.rev !fired in
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> compare a b < 0 && increasing rest
+        | _ -> true
+      in
+      !ok && increasing order && Engine.pending e = 0
+      && List.length order + Hashtbl.length cancelled = !scheduled)
+
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -553,19 +513,6 @@ let () =
           Alcotest.test_case "invalid" `Quick test_time_invalid;
           Alcotest.test_case "pp" `Quick test_time_pp;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
-          Alcotest.test_case "fold" `Quick test_heap_fold;
-        ]
-        @ qsuite
-            [
-              prop_heap_sorts;
-              prop_heap_interleaved;
-              prop_heap_stable_under_ties;
-              prop_heap_ties_interleaved;
-            ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -588,7 +535,12 @@ let () =
           Alcotest.test_case "past raises" `Quick test_engine_past_raises;
           Alcotest.test_case "event failure" `Quick test_engine_event_failure;
         ]
-        @ qsuite [ prop_engine_monotone_clock; prop_engine_fifo_ties ] );
+        @ qsuite
+            [
+              prop_engine_monotone_clock;
+              prop_engine_fifo_ties;
+              prop_engine_ties_interleaved;
+            ] );
       ( "trace",
         [
           Alcotest.test_case "basics" `Quick test_trace_basics;
