@@ -112,6 +112,7 @@ let labels =
   |]
 
 let tag_count = Array.length labels
+let tag_label t = labels.(t)
 let label m = labels.(tag m)
 let tag_names = Array.map String.uppercase_ascii labels
 

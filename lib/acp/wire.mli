@@ -78,6 +78,10 @@ val tag : t -> int
 val tag_count : int
 (** Tags are dense in [0 .. tag_count - 1]. *)
 
+val tag_label : int -> string
+(** The {!label} every message with this tag has.
+    @raise Invalid_argument outside [0 .. tag_count - 1]. *)
+
 val tag_name : int -> string
 (** Protocol-speak name of a tag: its {!label} in capitals
     (["UPDATE_REQ"], ...); ["?"] for anything outside

@@ -359,7 +359,10 @@ let create (config : Config.t) =
     Obs.Timeseries.register timeseries ~name:"engine.pending" (fun () ->
         Simkit.Engine.pending engine);
     (* Read-and-reset: each sample reports the heap's maximum occupancy
-       during its own interval, not since boot. *)
+       during its own interval, not since boot. Occupancy counts
+       cancelled timers until the engine pops or compacts them; with
+       compaction it follows the live events instead of growing with
+       every transaction of the last timeout period. *)
     Obs.Timeseries.register timeseries ~name:"engine.heap_pending_max"
       (fun () ->
         let m = Simkit.Engine.pending_high_water engine in

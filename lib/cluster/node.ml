@@ -122,15 +122,20 @@ let handle_envelope t (env : Msg.t Netsim.Network.envelope) =
 (* ------------------------------------------------------------------ *)
 
 let address_of t slot =
-  match List.nth_opt (Netsim.Network.endpoints t.sv.network) slot with
-  | Some a -> a
-  | None -> invalid_arg "Node.address_of: unknown server slot"
+  match Netsim.Network.address_at t.sv.network slot with
+  | a -> a
+  | exception Invalid_argument _ ->
+      invalid_arg "Node.address_of: unknown server slot"
 
 (* Attribute a log write to the transaction of its first record — every
    force/append in the protocols carries records of a single txn. *)
 let txn_of_records = function
   | [] -> -1
   | r :: _ -> Acp.Txn.owner_token (Acp.Log_record.txn r)
+
+(* Ledger key per wire tag, built once instead of on every send. *)
+let msg_keys =
+  Array.init Acp.Wire.tag_count (fun i -> "msg." ^ Acp.Wire.tag_label i)
 
 let make_context t =
   let epoch = t.epoch in
@@ -145,7 +150,7 @@ let make_context t =
       (fun ~dst wire ->
         guard (fun () ->
             Metrics.Ledger.incr t.sv.ledger "msg.total";
-            Metrics.Ledger.incr t.sv.ledger ("msg." ^ Acp.Wire.label wire);
+            Metrics.Ledger.incr t.sv.ledger msg_keys.(Acp.Wire.tag wire);
             if not (Acp.Wire.is_baseline wire) then
               Metrics.Ledger.incr t.sv.ledger "msg.acp";
             if Simkit.Trace.is_recording t.sv.trace then

@@ -2,8 +2,9 @@ type t = {
   mutable clock : Time.t;
   (* Inline 4-ary min-heap of pending events, ordered by (at, seq). The
      hot loop compares the two int fields directly — no comparator
-     closure, no [option] boxing on pop. Slots beyond [qlen] keep stale
-     handles until overwritten; they are unreachable through the API. *)
+     closure, no [option] boxing on pop. Slots beyond [qlen] hold
+     [filler], never a dispatched or cancelled handle, so nothing the
+     heap has let go of stays reachable through it. *)
   mutable q : handle array;
   mutable qlen : int;
   mutable next_seq : int;
@@ -32,7 +33,8 @@ type t = {
   mutable has_dispatch_tap : bool;
   mutable dispatch_tap : Time.t -> Label.t -> unit;
   (* High-water mark of [qlen] (raw heap occupancy, cancelled tombstones
-     included) since creation or the last [reset_pending_high_water]. *)
+     not yet popped or compacted included) since creation or the last
+     [reset_pending_high_water]. *)
   mutable qlen_hwm : int;
 }
 
@@ -96,21 +98,29 @@ let advance_clock t at =
   if t.has_observer && Time.( > ) at t.clock then t.observer at;
   t.clock <- at
 
-(* The backing array is allocated lazily on the first push so that
-   [create] needs no witness element. *)
-let ensure_capacity t h =
-  if t.qlen = Array.length t.q then
-    if t.qlen = 0 then t.q <- Array.make 256 h
-    else begin
-      let bigger = Array.make (2 * t.qlen) t.q.(0) in
-      Array.blit t.q 0 bigger 0 t.qlen;
-      t.q <- bigger
-    end
+(* What every heap slot beyond [qlen] holds: a handle of a private
+   engine that is never dispatched, so an empty slot pins no callback. *)
+let filler =
+  {
+    owner = create ();
+    at = Time.zero;
+    seq = -1;
+    label = Label.event;
+    callback = ignore;
+    state = Done;
+  }
+
+let ensure_capacity t =
+  if t.qlen = Array.length t.q then begin
+    let bigger = Array.make (max 256 (2 * t.qlen)) filler in
+    Array.blit t.q 0 bigger 0 t.qlen;
+    t.q <- bigger
+  end
 
 (* Hole-based sift: move parents down into the hole and write the new
    element once, instead of repeated swaps. *)
 let heap_push t h =
-  ensure_capacity t h;
+  ensure_capacity t;
   let q = t.q in
   let i = ref t.qlen in
   t.qlen <- t.qlen + 1;
@@ -127,35 +137,65 @@ let heap_push t h =
   done;
   q.(!i) <- h
 
-(* Remove and return the minimum. Caller guarantees [qlen > 0]. *)
+(* Sift [x] down from the hole at [i] in the heap [q.(0 .. n-1)]:
+   move the smallest child up into the hole until [x] fits. *)
+let sift_down q n i x =
+  let i = ref i in
+  let stop = ref false in
+  while not !stop do
+    let child = (4 * !i) + 1 in
+    if child >= n then stop := true
+    else begin
+      let m = ref child in
+      let hi = if child + 4 < n then child + 4 else n in
+      for c = child + 1 to hi - 1 do
+        if before q.(c) q.(!m) then m := c
+      done;
+      if before q.(!m) x then begin
+        q.(!i) <- q.(!m);
+        i := !m
+      end
+      else stop := true
+    end
+  done;
+  q.(!i) <- x
+
+(* Remove and return the minimum. Caller guarantees [qlen > 0]. The
+   vacated slot [n] gets [filler], so the array does not pin the popped
+   handle or the closure it carries. *)
 let heap_pop t =
   let q = t.q in
   let top = q.(0) in
   let n = t.qlen - 1 in
   t.qlen <- n;
-  if n > 0 then begin
-    let last = q.(n) in
-    let i = ref 0 in
-    let stop = ref false in
-    while not !stop do
-      let child = (4 * !i) + 1 in
-      if child >= n then stop := true
-      else begin
-        let m = ref child in
-        let hi = if child + 4 < n then child + 4 else n in
-        for c = child + 1 to hi - 1 do
-          if before q.(c) q.(!m) then m := c
-        done;
-        if before q.(!m) last then begin
-          q.(!i) <- q.(!m);
-          i := !m
-        end
-        else stop := true
-      end
-    done;
-    q.(!i) <- last
-  end;
+  if n > 0 then sift_down q n 0 q.(n);
+  q.(n) <- filler;
   top
+
+(* Tombstones below this count are never worth a pass over the heap. *)
+let compact_floor = 1024
+
+(* Drop every cancelled handle in one pass: keep the pending ones in
+   place, overwrite the vacated tail, and re-heapify bottom-up. [before]
+   is a strict total order, so the pop sequence does not depend on the
+   layout this leaves behind. *)
+let compact t =
+  let q = t.q in
+  let live = ref 0 in
+  for i = 0 to t.qlen - 1 do
+    let h = q.(i) in
+    if h.state == Pending then begin
+      q.(!live) <- h;
+      incr live
+    end
+  done;
+  let n = !live in
+  Array.fill q n (t.qlen - n) filler;
+  for i = (n - 2) / 4 downto 0 do
+    sift_down q n i q.(i)
+  done;
+  t.qlen <- n;
+  t.cancelled_in_queue <- 0
 
 let enqueue t ~at ~label callback =
   let h = { owner = t; at; seq = t.next_seq; label; callback; state = Pending } in
@@ -173,10 +213,18 @@ let schedule_at t ?(label = Label.event) ~at f =
 
 let defer t ?(label = Label.deferred) f = enqueue t ~at:t.clock ~label f
 
+(* A tombstone stays in the heap until it reaches the top, unless
+   tombstones outnumber both [compact_floor] and the pending events: a
+   timeout armed per transaction and cancelled on commit would otherwise
+   keep the heap, and every closure in it, sized by history. *)
 let cancel h =
   if h.state = Pending then begin
     h.state <- Cancelled;
-    h.owner.cancelled_in_queue <- h.owner.cancelled_in_queue + 1
+    let t = h.owner in
+    t.cancelled_in_queue <- t.cancelled_in_queue + 1;
+    if t.cancelled_in_queue > compact_floor
+       && 2 * t.cancelled_in_queue > t.qlen
+    then compact t
   end
 
 let is_pending h = h.state = Pending

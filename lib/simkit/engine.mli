@@ -44,7 +44,10 @@ val defer : t -> ?label:Label.t -> (unit -> unit) -> handle
 
 val cancel : handle -> unit
 (** Cancel the event if it has not been dispatched yet; otherwise a no-op.
-    Idempotent. *)
+    Idempotent. The cancelled event leaves the queue when it reaches the
+    front, or earlier, when cancelled events outnumber both a fixed floor
+    and the pending ones and the queue drops them all in one pass; either
+    way the dispatch order of the remaining events is unchanged. *)
 
 val is_pending : handle -> bool
 (** Whether the event is still scheduled (neither dispatched nor
@@ -71,9 +74,9 @@ val dispatched : t -> int
 (** Total events dispatched since creation. *)
 
 val pending_high_water : t -> int
-(** High-water mark of the raw heap occupancy (cancelled-but-unpopped
-    tombstones included) since creation or the last
-    {!reset_pending_high_water}. *)
+(** High-water mark of the raw heap occupancy since creation or the last
+    {!reset_pending_high_water}. Cancelled events count until they are
+    popped or compacted away (see {!cancel}). *)
 
 val reset_pending_high_water : t -> unit
 (** Reset the high-water mark to the current occupancy, so periodic

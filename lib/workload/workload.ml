@@ -133,21 +133,35 @@ let default_mix =
     lookup_weight = 0 }
 
 (* Files the generator has committed and not yet deleted/renamed-away,
-   per directory: the pool deletes and renames draw from. *)
-type live_files = (Mds.Update.ino, string list ref) Hashtbl.t
+   per directory: the pool deletes and renames draw from. Each
+   directory's files sit in a growable array, oldest first, so a pick
+   neither copies the pool nor allocates. *)
+type files = { mutable names : string array; mutable len : int }
+type live_files = (Mds.Update.ino, files) Hashtbl.t
 
 let pool_add (pool : live_files) dir name =
   match Hashtbl.find_opt pool dir with
-  | Some l -> l := name :: !l
-  | None -> Hashtbl.replace pool dir (ref [ name ])
+  | Some f ->
+      if f.len = Array.length f.names then begin
+        let bigger = Array.make (2 * f.len) "" in
+        Array.blit f.names 0 bigger 0 f.len;
+        f.names <- bigger
+      end;
+      f.names.(f.len) <- name;
+      f.len <- f.len + 1
+  | None -> Hashtbl.replace pool dir { names = Array.make 8 name; len = 1 }
 
+(* Draw [i] counts from the newest file, so the same draw picks the same
+   file as it would from a newest-first list. The removal keeps the
+   others in order. *)
 let pool_take (pool : live_files) rng dir =
   match Hashtbl.find_opt pool dir with
-  | Some ({ contents = _ :: _ } as l) ->
-      let arr = Array.of_list !l in
-      let i = Simkit.Rng.int rng (Array.length arr) in
-      let name = arr.(i) in
-      l := List.filteri (fun j _ -> j <> i) !l;
+  | Some f when f.len > 0 ->
+      let i = f.len - 1 - Simkit.Rng.int rng f.len in
+      let name = f.names.(i) in
+      Array.blit f.names (i + 1) f.names i (f.len - 1 - i);
+      f.len <- f.len - 1;
+      f.names.(f.len) <- "";
       Some name
   | _ -> None
 
@@ -201,7 +215,7 @@ let closed_loop cluster ~dirs ~clients ~ops_per_client
         (* Shared-lock read of a (possibly absent) name. *)
         let name =
           match Hashtbl.find_opt pool dir with
-          | Some { contents = n :: _ } -> n
+          | Some f when f.len > 0 -> f.names.(f.len - 1)
           | _ -> "missing"
         in
         Opc_cluster.Cluster.lookup t.cluster ~dir ~name ~on_done:(fun _ ->

@@ -208,7 +208,15 @@ let test_endpoints () =
     (List.map Address.name (Network.endpoints net));
   Alcotest.(check int) "indices" 0 (Address.index a);
   Alcotest.(check int) "indices" 1 (Address.index b);
-  Alcotest.(check bool) "distinct" false (Address.equal a b)
+  Alcotest.(check bool) "distinct" false (Address.equal a b);
+  Alcotest.(check bool) "address_at 1" true
+    (Address.equal b (Network.address_at net 1));
+  List.iter
+    (fun i ->
+      match Network.address_at net i with
+      | _ -> Alcotest.failf "address_at %d: no such endpoint" i
+      | exception Invalid_argument _ -> ())
+    [ -1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Failure detector                                                    *)

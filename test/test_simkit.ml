@@ -242,6 +242,24 @@ let test_engine_event_failure () =
       Alcotest.(check string) "label" "boom" label
   | _ -> Alcotest.fail "expected Event_failure"
 
+(* A dispatched event's closure is garbage as soon as it has run: the
+   heap slot it vacated must not keep it (or what it captures) alive
+   while other events are still pending. *)
+let test_engine_releases_dispatched () =
+  let e = Engine.create () in
+  let first = Weak.create 1 in
+  let ran = ref 0 in
+  for i = 0 to 9 do
+    let f () = ran := !ran + i + 1 in
+    if i = 0 then Weak.set first 0 (Some f);
+    ignore (Engine.schedule e ~after:(Time.span_ns i) f)
+  done;
+  ignore (Engine.run e ~max_events:1);
+  Gc.full_major ();
+  Alcotest.(check int) "first ran" 1 !ran;
+  Alcotest.(check int) "others pending" 9 (Engine.pending e);
+  Alcotest.(check bool) "closure released" false (Weak.check first 0)
+
 let prop_engine_monotone_clock =
   QCheck2.Test.make ~name:"dispatch times are monotone" ~count:100
     QCheck2.Gen.(list (int_bound 10_000))
@@ -345,6 +363,95 @@ let prop_engine_ties_interleaved =
       Array.iteri
         (fun i (_, _, target) -> if i mod 3 = 0 then cancel_some target)
         spec;
+      expect (Engine.pending e = !live);
+      ignore (Engine.run e);
+      let order = List.rev !fired in
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> compare a b < 0 && increasing rest
+        | _ -> true
+      in
+      !ok && increasing order && Engine.pending e = 0
+      && List.length order + Hashtbl.length cancelled = !scheduled)
+
+(* The same contract at a size where the engine compacts its
+   tombstones: more than 2,048 events over eight colliding instants.
+   Fewer than half are cancelled before the run, too few to compact.
+   The first event's handler then cancels most of the rest, the
+   farthest-future "canary" among them, which must compact the heap
+   mid-run; later handlers keep scheduling and cancelling. Checked as
+   above, plus: right after the bulk cancel the canary's closure is
+   collectable, which only compaction can make it (the tombstone has
+   not reached the top of the heap yet). *)
+type compaction_role = Bulk | Canary | Plain
+
+let prop_engine_compaction =
+  QCheck2.Test.make ~name:"compaction keeps dispatch order" ~count:20
+    QCheck2.Gen.(
+      quad (int_range 2100 3000) (int_bound 40) (int_range 60 90) int)
+    (fun (n, pre_pct, bulk_pct, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let e = Engine.create () in
+      let budget = 2 * n in
+      (* Handles stay here only while cancellable, so a cancelled
+         event's closure is reachable through the engine alone. *)
+      let handles = Hashtbl.create n and times = Hashtbl.create n in
+      let cancelled = Hashtbl.create n in
+      let scheduled = ref 0 and live = ref 0 and fired = ref [] in
+      let canary = Weak.create 1 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let cancel idx =
+        match Hashtbl.find_opt handles idx with
+        | Some h when Engine.is_pending h ->
+            Engine.cancel h;
+            Hashtbl.remove handles idx;
+            Hashtbl.replace cancelled idx ();
+            decr live
+        | _ -> ()
+      in
+      let rec schedule delay role =
+        let idx = !scheduled in
+        incr scheduled;
+        incr live;
+        Hashtbl.replace times idx (Time.to_ns (Engine.now e) + delay);
+        let f () = fire idx role in
+        if role = Canary then Weak.set canary 0 (Some f);
+        Hashtbl.replace handles idx
+          (Engine.schedule e ~after:(Time.span_ns delay) f)
+      and fire idx role =
+        decr live;
+        Hashtbl.remove handles idx;
+        expect (not (Hashtbl.mem cancelled idx));
+        expect (Time.to_ns (Engine.now e) = Hashtbl.find times idx);
+        fired := (Hashtbl.find times idx, idx) :: !fired;
+        (match role with
+        | Bulk ->
+            (* Index 1 is the canary. *)
+            for idx = 1 to !scheduled - 1 do
+              if idx = 1 || Random.State.int rng 100 < bulk_pct then cancel idx
+            done;
+            expect (Engine.pending e = !live);
+            Gc.full_major ();
+            expect (not (Weak.check canary 0))
+        | Canary -> ()
+        | Plain ->
+            for _ = 1 to Random.State.int rng 3 do
+              if !scheduled < budget then
+                schedule (Random.State.int rng 8) Plain
+            done;
+            for _ = 1 to Random.State.int rng 4 do
+              cancel (Random.State.int rng !scheduled)
+            done);
+        expect (Engine.pending e = !live)
+      in
+      schedule 0 Bulk;
+      schedule 7 Canary;
+      for _ = 3 to n do
+        schedule (Random.State.int rng 8) Plain
+      done;
+      for idx = 2 to n - 1 do
+        if Random.State.int rng 100 < pre_pct then cancel idx
+      done;
       expect (Engine.pending e = !live);
       ignore (Engine.run e);
       let order = List.rev !fired in
@@ -534,12 +641,15 @@ let () =
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "past raises" `Quick test_engine_past_raises;
           Alcotest.test_case "event failure" `Quick test_engine_event_failure;
+          Alcotest.test_case "releases dispatched" `Quick
+            test_engine_releases_dispatched;
         ]
         @ qsuite
             [
               prop_engine_monotone_clock;
               prop_engine_fifo_ties;
               prop_engine_ties_interleaved;
+              prop_engine_compaction;
             ] );
       ( "trace",
         [
