@@ -641,9 +641,59 @@ let micro () =
            | Opc.Cluster.Quiescent -> ()
            | _ -> failwith "micro: did not settle"))
   in
+  let module Store = Opc.Mds.Store in
+  let module Update = Opc.Mds.Update in
+  let create_pair ino =
+    [
+      Update.Create_inode { ino; kind = Update.File; nlink = 1 };
+      Update.Link { dir = 0; name = "f" ^ string_of_int ino; target = ino };
+    ]
+  in
+  let apply_volatile store updates =
+    List.iter
+      (fun u -> ignore (Result.get_ok (Store.apply_volatile store u)))
+      updates
+  in
+  (* One CREATE's update pair, applied to the volatile view and then
+     committed to the durable one. A fresh store replaces the old one
+     every 4 096 runs, so no run works on more than 4 096 files. *)
+  let store_apply_commit =
+    let pairs = Array.init 4_096 (fun i -> create_pair (i + 1)) in
+    let store = ref (Store.create ~name:"micro" ~root:(Some 0)) in
+    let next = ref 0 in
+    Test.make ~name:"mds: apply+commit one CREATE"
+      (Staged.stage (fun () ->
+           if !next = Array.length pairs then begin
+             store := Store.create ~name:"micro" ~root:(Some 0);
+             next := 0
+           end;
+           let updates = pairs.(!next) in
+           incr next;
+           apply_volatile !store updates;
+           Store.commit_durable !store updates))
+  in
+  (* A crash of a 20 000-file store with 8 touched keys: each run puts
+     four CREATE pairs in flight, then crashes. *)
+  let store_crash =
+    let store = Store.create ~name:"micro" ~root:(Some 0) in
+    for ino = 1 to 20_000 do
+      let updates = create_pair ino in
+      apply_volatile store updates;
+      Store.commit_durable store updates
+    done;
+    Store.crash store;
+    let in_flight =
+      List.concat_map create_pair [ 20_001; 20_002; 20_003; 20_004 ]
+    in
+    Test.make ~name:"mds: crash, 20k files, 8 keys"
+      (Staged.stage (fun () ->
+           apply_volatile store in_flight;
+           Store.crash store))
+  in
   let tests =
     Test.make_grouped ~name:"opc"
-      (engine_events :: List.map txn_of Opc.Acp.Protocol.all)
+      (engine_events :: store_apply_commit :: store_crash
+      :: List.map txn_of Opc.Acp.Protocol.all)
   in
   let benchmark () =
     let instances = Toolkit.Instance.[ monotonic_clock ] in

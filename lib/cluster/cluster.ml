@@ -423,11 +423,7 @@ let add_directory t ~parent ~name ?server () =
   let create =
     Mds.Update.Create_inode { ino; kind = Mds.Update.Directory; nlink = 1 }
   in
-  let apply server u =
-    let store = Node.store t.nodes.(server) in
-    ignore (Mds.State.apply_exn (Mds.Store.volatile store) u);
-    ignore (Mds.State.apply_exn (Mds.Store.durable store) u)
-  in
+  let apply server u = Mds.Store.apply_both (Node.store t.nodes.(server)) u in
   apply parent_server link;
   apply dir_server create;
   ino

@@ -46,8 +46,27 @@ val list_dir : t -> Update.ino -> (string * Update.ino) list option
 val inodes : t -> (Update.ino * inode_info) list
 (** All inodes, sorted by number. *)
 
-val copy : t -> t
-(** Deep copy (crash reset uses this to rebuild the volatile view). *)
+(** {2 Per-key comparison and restore}
+
+    A {e key} is an inode number, together with whether that inode has a
+    dentry table, or one [(dir, name)] dentry. {!Store} uses these to
+    reset a cache key by key instead of copying the whole state. *)
+
+val inode_agrees : t -> t -> Update.ino -> bool
+(** Same inode record, or both absent. A directory inode has a dentry
+    table exactly while it exists, so this implies the same table
+    presence. *)
+
+val dentry_agrees : t -> t -> dir:Update.ino -> name:string -> bool
+(** Same target (or absence) for the dentry [name] in [dir]. *)
+
+val restore_inode : t -> from:t -> Update.ino -> unit
+(** Make the inode key of [t] equal [from]'s: copy or remove the inode,
+    and create an empty dentry table or remove it to match. *)
+
+val restore_dentry : t -> from:t -> dir:Update.ino -> name:string -> unit
+(** Make one dentry of [t] equal [from]'s. Does nothing if [t] has no
+    dentry table for [dir], so restore [dir]'s inode key first. *)
 
 val equal : t -> t -> bool
 (** Structural equality of the full state — used by tests to compare

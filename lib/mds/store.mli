@@ -12,7 +12,10 @@
       with.
 
     Undo information for aborts is the inverse-update list returned by
-    {!apply_volatile}. *)
+    {!apply_volatile}.
+
+    Every mutation of either view goes through this module, which
+    records the key of each update it applies (see {!crash}). *)
 
 type t
 
@@ -40,13 +43,27 @@ val replay_durable_to_volatile : t -> Update.t list -> unit
     {!State.apply_exn} (used when re-executing redo records whose effects
     are known-valid). *)
 
+val apply_both : t -> Update.t -> unit
+(** Apply one update to both views, as if it had always been durable
+    (bootstrap: [Cluster.add_directory]). Raises on a validation failure
+    in either view. *)
+
 val crash : t -> unit
-(** Lose the cache: the volatile view becomes a copy of the durable
-    view. *)
+(** Lose the cache: the volatile view becomes equal to the durable view.
+
+    Cost: proportional to the keys updated since the two views last
+    agreed, not to the namespace. The store records the key of every
+    update applied to either view (an inode number, or a [(dir, name)]
+    dentry; {!Update.Touch} changes nothing) and drops keys whose views
+    agree again once the record holds both 64 keys and twice as many as
+    its last compaction kept. A crash restores only the recorded keys
+    from the durable view, inode keys before dentry keys, so its work is
+    bounded by the in-flight updates plus at most 64 stale keys. *)
 
 val volatile : t -> State.t
 val durable : t -> State.t
-(** Direct views, for reads, invariant checking and tests. *)
+(** Read-only views, for reads, invariant checking and tests. Mutating
+    a view directly breaks {!crash}: use {!apply_both} instead. *)
 
 val in_sync : t -> bool
 (** Volatile and durable views are structurally equal (true when the

@@ -27,6 +27,72 @@ let test_words_per_event_flat () =
        more than 5 %%"
       short long
 
+(* A crash loses the cache, and should cost what the cache changed: a
+   store of 20 000 files with the same in-flight updates must reset
+   with the same allocation as one of 1 000. Both are built as a server
+   builds them, one committed CREATE at a time, so the store's record
+   of touched keys is wherever its compaction left it: up to 64 stale
+   keys, at most 16 words each to restore, which the slack covers.
+
+   Allocated words are deterministic, like the words per event above.
+   They are [Gc.minor_words], which is exact, plus what went straight
+   to the major heap. [Gc.allocated_bytes] is not used: on OCaml 5.1
+   its minor part comes from a counter that undercounts. *)
+
+let allocated_words () =
+  let s = Gc.quick_stat () in
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+
+let crash_words ~files =
+  let open Mds in
+  let s = Store.create ~name:"s" ~root:(Some 0) in
+  let create ino =
+    let updates =
+      [
+        Update.Create_inode { ino; kind = Update.File; nlink = 1 };
+        Update.Link { dir = 0; name = Printf.sprintf "f%d" ino; target = ino };
+      ]
+    in
+    List.iter
+      (fun u -> ignore (Result.get_ok (Store.apply_volatile s u)))
+      updates;
+    updates
+  in
+  for ino = 1 to files do
+    Store.commit_durable s (create ino)
+  done;
+  (* Eight keys in flight: two CREATEs and two DELETEs. *)
+  ignore (create (files + 1));
+  ignore (create (files + 2));
+  List.iter
+    (fun ino ->
+      List.iter
+        (fun u -> ignore (Result.get_ok (Store.apply_volatile s u)))
+        [
+          Update.Unlink { dir = 0; name = Printf.sprintf "f%d" ino };
+          Update.Unref { ino };
+        ])
+    [ 1; files ];
+  Gc.minor ();
+  let w0 = allocated_words () in
+  Store.crash s;
+  let words = allocated_words () -. w0 in
+  if not (Store.in_sync s) then Alcotest.fail "crash left the views apart";
+  words
+
+let test_crash_flat () =
+  let small = crash_words ~files:1_000 in
+  let large = crash_words ~files:20_000 in
+  Printf.printf
+    "Store.crash allocates %.0f words at 1k files, %.0f at 20k files\n" small
+    large;
+  let slack = 1_024. in
+  if Float.abs (large -. small) > slack then
+    Alcotest.failf
+      "Store.crash allocated %.0f words at 1k files and %.0f at 20k files, \
+       more than %.0f apart"
+      small large slack
+
 let () =
   Alcotest.run "flat"
     [
@@ -34,5 +100,7 @@ let () =
         [
           Alcotest.test_case "1PC words per event, 5k vs 20k txns" `Quick
             test_words_per_event_flat;
+          Alcotest.test_case "Store.crash, 1k vs 20k files" `Quick
+            test_crash_flat;
         ] );
     ]

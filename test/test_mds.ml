@@ -83,16 +83,37 @@ let test_state_nonempty_dir_protected () =
   ignore (State.apply_exn st (Update.Unref { ino = 1 }));
   Alcotest.(check bool) "dir gone" true (State.inode st 1 = None)
 
-let test_state_copy_and_equal () =
-  let st = State.create () in
-  State.add_root st 0;
-  ignore (State.apply_exn st (file 1));
-  ignore (State.apply_exn st (Update.Link { dir = 0; name = "a"; target = 1 }));
-  let copy = State.copy st in
-  Alcotest.(check bool) "copies equal" true (State.equal st copy);
-  ignore (State.apply_exn copy (file 2));
-  Alcotest.(check bool) "divergence detected" false (State.equal st copy);
-  Alcotest.(check bool) "original untouched" true (State.inode st 2 = None)
+(* A fresh state rebuilt from another's observable contents: inodes
+   first (a directory brings its dentry table), then every dentry. *)
+let snapshot st =
+  let fresh = State.create () in
+  let inodes = State.inodes st in
+  List.iter
+    (fun (ino, { State.kind; nlink }) ->
+      ignore (State.apply_exn fresh (Update.Create_inode { ino; kind; nlink })))
+    inodes;
+  List.iter
+    (fun (dir, _) ->
+      List.iter
+        (fun (name, target) ->
+          ignore (State.apply_exn fresh (Update.Link { dir; name; target })))
+        (Option.value (State.list_dir st dir) ~default:[]))
+    inodes;
+  fresh
+
+let test_state_equal () =
+  let build () =
+    let st = State.create () in
+    State.add_root st 0;
+    ignore (State.apply_exn st (file 1));
+    ignore
+      (State.apply_exn st (Update.Link { dir = 0; name = "a"; target = 1 }));
+    st
+  in
+  let st = build () and other = build () in
+  Alcotest.(check bool) "same updates, equal states" true (State.equal st other);
+  ignore (State.apply_exn other (file 2));
+  Alcotest.(check bool) "divergence detected" false (State.equal st other)
 
 (* Property: apply then apply-inverse restores the state. *)
 let arbitrary_update st rng =
@@ -137,7 +158,7 @@ let prop_apply_inverse_roundtrip =
       let ok = ref true in
       for _ = 1 to steps do
         let u = arbitrary_update st rng in
-        let before = State.copy st in
+        let before = snapshot st in
         match State.apply st u with
         | Error _ ->
             (* must not have mutated *)
@@ -192,6 +213,184 @@ let test_store_undo () =
   in
   Store.undo_volatile s [ inv2; inv1 ];
   Alcotest.(check bool) "rolled back" true (Store.in_sync s)
+
+(* Model-based property: a store against a reference pair of states
+   whose crash rebuilds the volatile view from a full snapshot of the
+   durable one. Transactions apply to the volatile view (errors
+   included), then either undo their inverses or commit their updates
+   to the durable view; recovery commits straight to the durable view
+   and replays to the volatile one. The generator makes and reaps
+   directories and reuses a handful of names, so a crash must put back
+   a reaped directory's durable entries and a relinked name's durable
+   target. Sequences run long enough for the store to compact its
+   record of touched keys between crashes, and always end in one. *)
+
+type model_stats = {
+  mutable crashes : int;
+  mutable reaped_with_durable_entries : int;
+  mutable relinks : int;
+}
+
+let model_update st rng =
+  let module R = Opc.Simkit.Rng in
+  let inodes = State.inodes st in
+  let pick l = List.nth l (R.int rng (List.length l)) in
+  let dirs =
+    List.filter_map
+      (fun (ino, info) ->
+        if info.State.kind = Update.Directory then Some ino else None)
+      inodes
+  in
+  let ino () = 1 + R.int rng 24 in
+  let name () = Printf.sprintf "n%d" (R.int rng 4) in
+  match R.int rng 8 with
+  | 0 | 1 -> Update.Create_inode { ino = ino (); kind = Update.File; nlink = 1 }
+  | 2 -> Update.Create_inode { ino = ino (); kind = Update.Directory; nlink = 1 }
+  | 3 when dirs <> [] ->
+      Update.Link { dir = pick dirs; name = name (); target = fst (pick inodes) }
+  | 4 when dirs <> [] -> (
+      let dir = pick dirs in
+      match State.list_dir st dir with
+      | Some (_ :: _ as entries) ->
+          Update.Unlink { dir; name = fst (pick entries) }
+      | Some [] | None -> Update.Unlink { dir; name = name () })
+  | 5 when inodes <> [] -> Update.Ref { ino = fst (pick inodes) }
+  | (6 | 7) when List.length inodes > 1 ->
+      let non_root = List.filter (fun (i, _) -> i <> 0) inodes in
+      Update.Unref { ino = fst (pick non_root) }
+  | _ -> Update.Touch { ino = R.int rng 25 }
+
+let run_store_model ~seed ~steps ~crash_one_in stats =
+  let module R = Opc.Simkit.Rng in
+  let rng = R.create ~seed in
+  let s = Store.create ~name:"s" ~root:(Some 0) in
+  let rv = ref (State.create ()) and rd = State.create () in
+  State.add_root !rv 0;
+  State.add_root rd 0;
+  (* The open transaction: its updates and their inverses, newest
+     first. *)
+  let redo = ref [] and inverses = ref [] in
+  let close () =
+    redo := [];
+    inverses := []
+  in
+  let undo () =
+    Store.undo_volatile s !inverses;
+    List.iter (fun inv -> ignore (State.apply_exn !rv inv)) !inverses;
+    close ()
+  in
+  let apply () =
+    let u = model_update !rv rng in
+    let reaps_over_durable_entries =
+      match u with
+      | Update.Unref { ino } -> (
+          match State.inode !rv ino with
+          | Some { State.kind = Update.Directory; nlink = 1 } ->
+              State.list_dir !rv ino = Some []
+              && Option.value (State.list_dir rd ino) ~default:[] <> []
+          | _ -> false)
+      | _ -> false
+    in
+    let relinks =
+      match u with
+      | Update.Link { dir; name; _ } ->
+          State.lookup !rv ~dir ~name = None
+          && State.lookup rd ~dir ~name <> None
+      | _ -> false
+    in
+    match (Store.apply_volatile s u, State.apply !rv u) with
+    | Ok inv, Ok inv' when Update.equal inv inv' ->
+        if reaps_over_durable_entries then
+          stats.reaped_with_durable_entries <-
+            stats.reaped_with_durable_entries + 1;
+        if relinks then stats.relinks <- stats.relinks + 1;
+        redo := u :: !redo;
+        inverses := inv :: !inverses;
+        Ok ()
+    | Error _, Error _ -> Ok ()
+    | _ -> Error (Fmt.str "store and reference disagree on %a" Update.pp u)
+  in
+  let commit () =
+    let updates = List.rev !redo in
+    let trial = snapshot rd in
+    if List.for_all (fun u -> Result.is_ok (State.apply trial u)) updates
+    then begin
+      Store.commit_durable s updates;
+      List.iter (fun u -> ignore (State.apply_exn rd u)) updates;
+      close ()
+    end
+    else undo ()
+  in
+  let crash () =
+    Store.crash s;
+    rv := snapshot rd;
+    close ();
+    stats.crashes <- stats.crashes + 1;
+    if Store.in_sync s then Ok () else Error "not in sync after crash"
+  in
+  let step i =
+    let applied =
+      match R.int rng 20 with
+      | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 -> apply ()
+      | 9 | 10 -> Ok (undo ())
+      | 11 | 12 | 13 | 14 -> Ok (commit ())
+      | (15 | 16) when !redo = [] ->
+          (* Recovery: a redo record hardens, the cache untouched. *)
+          let u = model_update rd rng in
+          if Result.is_ok (State.apply rd u) then Store.commit_durable s [ u ];
+          Ok ()
+      | (17 | 18) when !redo = [] ->
+          (* Recovery: a redo record is replayed into the cache. *)
+          let u = model_update !rv rng in
+          if Result.is_ok (State.apply !rv u) then
+            Store.replay_durable_to_volatile s [ u ];
+          Ok ()
+      | _ -> Ok ()
+    in
+    let crashed () =
+      if i = steps || R.int rng crash_one_in = 0 then crash () else Ok ()
+    in
+    match Result.bind applied crashed with
+    | Error _ as e -> e
+    | Ok () ->
+        if not (State.equal (Store.volatile s) !rv) then
+          Error (Printf.sprintf "volatile differs after step %d" i)
+        else if not (State.equal (Store.durable s) rd) then
+          Error (Printf.sprintf "durable differs after step %d" i)
+        else Ok ()
+  in
+  let rec go i =
+    if i > steps then Ok ()
+    else match step i with Ok () -> go (i + 1) | Error _ as e -> e
+  in
+  go 1
+
+let fresh_stats () =
+  { crashes = 0; reaped_with_durable_entries = 0; relinks = 0 }
+
+let prop_store_matches_snapshot_model =
+  QCheck2.Test.make ~name:"store = snapshot-crash reference" ~count:150
+    QCheck2.Gen.(triple int (int_bound 1_200) (oneofl [ 8; 80; 800 ]))
+    (fun (seed, steps, crash_one_in) ->
+      match run_store_model ~seed ~steps ~crash_one_in (fresh_stats ()) with
+      | Ok () -> true
+      | Error msg -> QCheck2.Test.fail_report msg)
+
+(* The property only means something if its sequences reach the cases
+   a key-by-key reset can get wrong. *)
+let test_store_model_coverage () =
+  let stats = fresh_stats () in
+  for seed = 1 to 20 do
+    match run_store_model ~seed ~steps:1_000 ~crash_one_in:80 stats with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "seed %d: %s" seed msg
+  done;
+  Printf.printf "crashes %d, reaps over durable entries %d, relinks %d\n"
+    stats.crashes stats.reaped_with_durable_entries stats.relinks;
+  Alcotest.(check bool) "crashes" true (stats.crashes > 0);
+  Alcotest.(check bool) "reaps a directory with durable entries" true
+    (stats.reaped_with_durable_entries > 0);
+  Alcotest.(check bool) "relinks a durable name" true (stats.relinks > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Placement                                                           *)
@@ -474,7 +673,7 @@ let () =
           Alcotest.test_case "unref reaps" `Quick test_state_unref_reaps;
           Alcotest.test_case "non-empty dir" `Quick
             test_state_nonempty_dir_protected;
-          Alcotest.test_case "copy/equal" `Quick test_state_copy_and_equal;
+          Alcotest.test_case "equal detects divergence" `Quick test_state_equal;
         ]
         @ qsuite [ prop_apply_inverse_roundtrip ] );
       ( "store",
@@ -483,7 +682,10 @@ let () =
             test_store_volatile_vs_durable;
           Alcotest.test_case "crash reset" `Quick test_store_crash_resets_cache;
           Alcotest.test_case "undo" `Quick test_store_undo;
-        ] );
+          Alcotest.test_case "model reaches reaps and relinks" `Quick
+            test_store_model_coverage;
+        ]
+        @ qsuite [ prop_store_matches_snapshot_model ] );
       ( "placement",
         [
           Alcotest.test_case "hash deterministic" `Quick
