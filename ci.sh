@@ -4,7 +4,10 @@
 #   ./ci.sh
 #
 # 1. full build + test suite (unit, property, golden, crash sweeps);
-# 2. bounded chaos smoke: 30 seeds x 5 protocols of randomized
+# 2. opc_sim smoke: `run` for every protocol (exits 1 on an invariant
+#    violation; its report's per-tag "messages:" line must show traffic
+#    on a protocol tag) and the `trace` timeline;
+# 2b. bounded chaos smoke: 30 seeds x 5 protocols of randomized
 #    fault-schedule campaigns (~150 runs, a few seconds);
 # 3. scale-campaign smoke: emits BENCH_scale.json so the machine-readable
 #    baseline stays exercised end to end;
@@ -60,6 +63,31 @@ cd "$(dirname "$0")"
 echo "== dune build && dune runtest =="
 dune build
 dune runtest
+
+echo "== opc_sim run (all five protocols) and trace =="
+# Each report must list per-tag sends on its "messages:" line, and at
+# least one of them must be a protocol tag, not only heartbeats. No
+# fixed tag is checked: L1PC sends VOTE_REQ where the others send
+# UPDATE_REQ.
+for p in prn prc ep 1pc l1pc; do
+  if ! dune exec bin/opc_sim.exe -- run -p "$p" --clients 4 --ops 20 \
+       > OPC_SIM_run.out 2>&1; then
+    cat OPC_SIM_run.out
+    rm -f OPC_SIM_run.out
+    echo "FAIL: opc_sim run -p $p exited nonzero" >&2
+    exit 1
+  fi
+  if ! sed -n 's/^messages: //p' OPC_SIM_run.out | tr ',' '\n' \
+       | grep -v HEARTBEAT | grep -Eq '^ ?[A-Z_]+ [1-9][0-9]*$'; then
+    cat OPC_SIM_run.out
+    rm -f OPC_SIM_run.out
+    echo "FAIL: opc_sim run -p $p reported no protocol messages" >&2
+    exit 1
+  fi
+done
+rm -f OPC_SIM_run.out
+dune exec bin/opc_sim.exe -- trace > /dev/null
+echo "opc_sim run and trace OK for every protocol"
 
 echo "== chaos smoke: 30 seeds x 5 protocols =="
 dune exec bin/chaos.exe -- --seeds 30 --first-seed 1

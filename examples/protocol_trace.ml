@@ -44,12 +44,9 @@ let () =
       | _ -> failwith "did not settle");
       Opc.Simkit.Timeline.print ~keep:interesting ~column_width:34
         (Opc.Cluster.trace cluster);
-      let ledger = Opc.Cluster.ledger cluster in
+      let c = Opc.Experiment.counts cluster in
       Fmt.pr
         "totals: %d sync log writes, %d async, %d protocol messages (%d \
          beyond the baseline round trip)@.@."
-        (Opc.Metrics.Ledger.get ledger "log.sync")
-        (Opc.Metrics.Ledger.get ledger "log.async")
-        (Opc.Metrics.Ledger.get ledger "msg.total")
-        (Opc.Metrics.Ledger.get ledger "msg.acp"))
+        c.sync_writes c.async_writes c.messages c.acp_messages)
     Opc.Acp.Protocol.all

@@ -53,20 +53,12 @@ let txn = function
       txn
   | Recover_req { owner } | Recover_resp { owner; _ } -> recovery_id owner
 
-let is_baseline = function
-  | Update_req _ | Updated _ | Vote_req _ | Vote _ -> true
-  | Prepare _ | Prepared _ | Commit _ | Abort _ | Ack _ | Decision_req _
-  | Decision _ | Ack_req _ | Rep_store _ | Rep_ack _ | Decide _
-  | Decide_ack _ | Rep_drop _ | Recover_req _ | Recover_resp _ ->
-      false
-
 let is_recovery = function
   | Recover_req _ | Recover_resp _ -> true
   | _ -> false
 
 (* The one place that numbers and names the constructors. Tags are
-   dense, so the message-conservation ledger and the network meter can
-   count per tag in a flat array. *)
+   dense, so the network meter can count per tag in a flat array. *)
 let tag = function
   | Update_req _ -> 0
   | Updated _ -> 1
@@ -112,7 +104,11 @@ let labels =
   |]
 
 let tag_count = Array.length labels
-let tag_label t = labels.(t)
+
+(* Update_req, Updated, Vote_req and Vote: traffic that exists even
+   without an ACP. *)
+let is_baseline_tag = function 0 | 1 | 10 | 11 -> true | _ -> false
+let is_baseline m = is_baseline_tag (tag m)
 let label m = labels.(tag m)
 let tag_names = Array.map String.uppercase_ascii labels
 

@@ -68,19 +68,18 @@ val is_recovery : t -> bool
     while it is up but not yet serving. *)
 
 val label : t -> string
-(** Short tag for tracing and ledger keys, e.g. ["prepare"]. *)
+(** Short tag for tracing and span names, e.g. ["prepare"]. *)
 
 val tag : t -> int
-(** The constructor's number. The message-conservation ledger and the
-    network meter count per tag, so there is one numbering for every
-    accounting dimension. *)
+(** The constructor's number. The network meter counts per tag, so
+    there is one numbering for every accounting dimension. *)
 
 val tag_count : int
 (** Tags are dense in [0 .. tag_count - 1]. *)
 
-val tag_label : int -> string
-(** The {!label} every message with this tag has.
-    @raise Invalid_argument outside [0 .. tag_count - 1]. *)
+val is_baseline_tag : int -> bool
+(** {!is_baseline} of every message with this tag; [false] outside
+    [0 .. tag_count - 1]. *)
 
 val tag_name : int -> string
 (** Protocol-speak name of a tag: its {!label} in capitals

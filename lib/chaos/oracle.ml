@@ -102,20 +102,13 @@ let expected_namespace records =
 
 (* Per-tag message conservation: at quiescence every send the network
    accepted must be accounted for, exactly — sent = delivered +
-   dup_delivered + dropped + in_flight, tolerance zero. Empty unless
-   the run recorded coverage (the meter is otherwise disabled). *)
+   dup_delivered + dropped + in_flight, tolerance zero. The meter is
+   always on, so every run is checked. *)
 let conservation cluster =
-  let meter = Opc_cluster.Cluster.meter cluster in
-  if not (Netsim.Network.Meter.is_recording meter) then []
-  else
-    List.map
-      (fun (tag, imbalance) ->
-        let tag =
-          if tag = Acp.Wire.tag_count then "HEARTBEAT"
-          else Acp.Wire.tag_name tag
-        in
-        Conservation { tag; imbalance })
-      (Netsim.Network.Meter.check meter)
+  List.map
+    (fun (tag, imbalance) ->
+      Conservation { tag = Opc_cluster.Msg.tag_name tag; imbalance })
+    (Netsim.Network.Meter.check (Opc_cluster.Cluster.meter cluster))
 
 let durable_of cluster dir =
   let owner =

@@ -51,8 +51,7 @@ type violation =
   | Conservation of { tag : string; imbalance : int }
       (** the per-tag message ledger broke
           [sent = delivered + dup + dropped + in_flight] — a network
-          accounting bug, checked at tolerance zero whenever the run
-          recorded coverage *)
+          accounting bug, checked at tolerance zero on every run *)
 
 val pp_violation : Format.formatter -> violation -> unit
 

@@ -90,20 +90,16 @@ let generate_schedule spec ~seed =
 
 let meter_stats cluster =
   let m = Opc_cluster.Cluster.meter cluster in
-  if not (Netsim.Network.Meter.is_recording m) then []
-  else
-    List.init (Netsim.Network.Meter.tags m) (fun tag ->
-        {
-          tag =
-            (if tag = Acp.Wire.tag_count then "HEARTBEAT"
-             else Acp.Wire.tag_name tag);
-          sent = Netsim.Network.Meter.sent m tag;
-          delivered = Netsim.Network.Meter.delivered m tag;
-          dup_delivered = Netsim.Network.Meter.dup_delivered m tag;
-          dropped = Netsim.Network.Meter.dropped m tag;
-          rejected = Netsim.Network.Meter.rejected m tag;
-          in_flight = Netsim.Network.Meter.in_flight m tag;
-        })
+  List.init (Netsim.Network.Meter.tags m) (fun tag ->
+      {
+        tag = Opc_cluster.Msg.tag_name tag;
+        sent = Netsim.Network.Meter.sent m tag;
+        delivered = Netsim.Network.Meter.delivered m tag;
+        dup_delivered = Netsim.Network.Meter.dup_delivered m tag;
+        dropped = Netsim.Network.Meter.dropped m tag;
+        rejected = Netsim.Network.Meter.rejected m tag;
+        in_flight = Netsim.Network.Meter.in_flight m tag;
+      })
 
 (* Common run body, parameterized by the cluster config so the autopsy
    path can replay the same (spec, protocol, seed, schedule) with every

@@ -59,9 +59,6 @@ let flush_group t key =
           | Some merged ->
               t.n_batches <- t.n_batches + 1;
               t.n_batched_ops <- t.n_batched_ops + List.length members;
-              Metrics.Ledger.incr (Cluster.ledger t.cluster) "batch.flush";
-              Metrics.Ledger.add (Cluster.ledger t.cluster) "batch.ops"
-                (List.length members);
               Cluster.submit_plan t.cluster merged ~on_done:(fun outcome ->
                   List.iter (fun m -> m.on_done outcome) members)))
 

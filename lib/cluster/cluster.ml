@@ -91,11 +91,9 @@ let client_reply t id outcome =
           (match outcome with
           | Acp.Txn.Committed ->
               t.committed <- t.committed + 1;
-              Metrics.Ledger.incr t.ledger "txn.committed";
               Metrics.Histogram.record t.latency_committed latency
           | Acp.Txn.Aborted _ ->
               t.aborted <- t.aborted + 1;
-              Metrics.Ledger.incr t.ledger "txn.aborted";
               Metrics.Histogram.record t.latency_aborted latency);
           f outcome
       | None ->
@@ -239,25 +237,16 @@ let create (config : Config.t) =
             Acp.Txn.owner_token (Acp.Wire.txn wire),
             Acp.Wire.is_baseline wire )
   in
-  (* The coverage observatory: an edge tap sized for the declared
-     transition maps plus the per-wire-tag conservation meter, with
-     heartbeats on their own tag past the wire's. Both passive. *)
+  (* The coverage observatory's edge tap, sized for the declared
+     transition maps. Passive. *)
   let cover =
     if config.record_coverage then Obs.Coverage.create ~size:Acp.Edges.count
     else Obs.Coverage.disabled ()
   in
-  let meter =
-    if config.record_coverage then
-      Netsim.Network.Meter.create ~tags:(Acp.Wire.tag_count + 1)
-    else Netsim.Network.Meter.disabled ()
-  in
-  let tag_of = function
-    | Msg.Heartbeat -> Acp.Wire.tag_count
-    | Msg.Acp wire -> Acp.Wire.tag wire
-  in
   let network =
     Netsim.Network.create ~engine ~rng:(Simkit.Rng.split rng) ~trace ~obs
-      ~journal ~recorder ~span_of ~tag_of ~meter config.network
+      ~journal ~recorder ~span_of ~tags:Msg.tag_count ~tag_of:Msg.tag
+      config.network
   in
   let size =
     if config.encoded_sizes then Acp.Codec.encoded_size

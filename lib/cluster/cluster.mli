@@ -48,10 +48,15 @@ val coverage : t -> Obs.Coverage.t
     [record_coverage] is set; disabled otherwise. *)
 
 val meter : t -> Netsim.Network.Meter.t
-(** Per-wire-tag message-conservation ledger (heartbeats on tag
-    [Acp.Wire.tag_count]); disabled unless [record_coverage] is set. *)
+(** The network's per-tag message meter, tagged by {!Msg.tag}; always
+    on. The one count of protocol messages. *)
 
 val ledger : t -> Metrics.Ledger.t
+(** Counters no other module keeps: [acp.*], [l1pc.*], [node.*],
+    [txn.submitted]/[plan.*]/[read]/[local]/[fallback]/[rejected] and
+    [reply.duplicate]. Messages are counted by {!meter}, log writes by
+    each node's {!Storage.Wal.stats}, outcomes by {!txn_counts}. *)
+
 val network : t -> Msg.t Netsim.Network.t
 val san : t -> Acp.Log_record.t Storage.San.t
 val placement : t -> Mds.Placement.t

@@ -79,10 +79,10 @@ type t = {
           load and one branch per dispatch *)
   record_coverage : bool;
       (** count protocol state-machine transitions against the declared
-          {!Acp.Edges} maps in an {!Obs.Coverage} tap and keep the
-          per-wire-tag message-conservation ledger
-          ({!Netsim.Network.Meter}); off by default — both disabled
-          paths are one load and one branch *)
+          {!Acp.Edges} maps in an {!Obs.Coverage} tap; off by default —
+          the disabled path is one load and one branch. The per-tag
+          message meter ({!Netsim.Network.Meter}) is always on and does
+          not depend on this flag. *)
 }
 
 val default : t

@@ -76,7 +76,6 @@ let rec start t entry =
   entry.execs <- entry.execs + 1;
   t.inflight <- t.inflight + 1;
   t.started <- t.started + 1;
-  Metrics.Ledger.incr (Cluster.ledger t.cluster) "ingress.started";
   Cluster.submit t.cluster entry.e_op ~on_done:(fun outcome ->
       complete t entry (Done outcome))
 
@@ -117,12 +116,10 @@ let submit t ~key op ~on_reply =
           (* Replay: the cached value itself, so the retried client sees
              the original reply verbatim and nothing re-executes. *)
           t.replayed <- t.replayed + 1;
-          Metrics.Ledger.incr (Cluster.ledger t.cluster) "ingress.replayed";
           on_reply reply
       | Queued | Inflight ->
           (* A retry raced the original; ride on it. *)
           t.coalesced <- t.coalesced + 1;
-          Metrics.Ledger.incr (Cluster.ledger t.cluster) "ingress.coalesced";
           entry.waiters <- on_reply :: entry.waiters)
   | None ->
       if t.inflight >= t.max_inflight && Queue.length t.queue >= t.queue_capacity
@@ -130,7 +127,6 @@ let submit t ~key op ~on_reply =
         (* Shed before planning: no inode allocation, no transaction, no
            trace of the request anywhere in the MDS. *)
         t.shed <- t.shed + 1;
-        Metrics.Ledger.incr (Cluster.ledger t.cluster) "ingress.shed";
         on_reply Busy
       end
       else begin
@@ -145,7 +141,6 @@ let submit t ~key op ~on_reply =
         in
         Hashtbl.replace t.entries (ikey key) entry;
         t.admitted <- t.admitted + 1;
-        Metrics.Ledger.incr (Cluster.ledger t.cluster) "ingress.admitted";
         if t.inflight < t.max_inflight then start t entry
         else Queue.push (ikey key) t.queue
       end

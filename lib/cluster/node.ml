@@ -133,10 +133,6 @@ let txn_of_records = function
   | [] -> -1
   | r :: _ -> Acp.Txn.owner_token (Acp.Log_record.txn r)
 
-(* Ledger key per wire tag, built once instead of on every send. *)
-let msg_keys =
-  Array.init Acp.Wire.tag_count (fun i -> "msg." ^ Acp.Wire.tag_label i)
-
 let make_context t =
   let epoch = t.epoch in
   let alive () = t.up && t.epoch = epoch in
@@ -149,10 +145,6 @@ let make_context t =
     send =
       (fun ~dst wire ->
         guard (fun () ->
-            Metrics.Ledger.incr t.sv.ledger "msg.total";
-            Metrics.Ledger.incr t.sv.ledger msg_keys.(Acp.Wire.tag wire);
-            if not (Acp.Wire.is_baseline wire) then
-              Metrics.Ledger.incr t.sv.ledger "msg.acp";
             if Simkit.Trace.is_recording t.sv.trace then
               Simkit.Trace.emitf t.sv.trace
                 ~time:(Simkit.Engine.now t.sv.engine)
@@ -163,14 +155,12 @@ let make_context t =
     force =
       (fun records ~on_durable ->
         guard (fun () ->
-            Metrics.Ledger.incr t.sv.ledger "log.sync";
             let txn = txn_of_records records in
             Storage.Wal.force ~txn t.wal records ~on_durable:(fun () ->
                 guard on_durable)));
     append_async =
       (fun ?on_durable records ->
         guard (fun () ->
-            Metrics.Ledger.incr t.sv.ledger "log.async";
             let on_durable =
               match on_durable with
               | None -> fun () -> ()
@@ -533,7 +523,6 @@ let run_local t (txn : Acp.Txn.t) =
                  in
                  match apply [] side.Mds.Plan.updates with
                  | Ok _ ->
-                     Metrics.Ledger.incr t.sv.ledger "log.sync";
                      Storage.Wal.force ~txn:owner t.wal
                        [
                          Acp.Log_record.Updates

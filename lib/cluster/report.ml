@@ -17,6 +17,7 @@ type t = {
   latency_max : Simkit.Time.span;
   mean_lock_hold : Simkit.Time.span;
   network : Netsim.Network.stats;
+  messages : (string * int) list;
   disk : Storage.Disk.stats;
   nodes : node list;
   ledger : (string * int) list;
@@ -48,6 +49,11 @@ let collect cluster =
       mean_span
         (Cluster.all_mark_spans cluster ~from_:"locked" ~to_:"released");
     network = Netsim.Network.stats (Cluster.network cluster);
+    messages =
+      (let m = Cluster.meter cluster in
+       List.init (Netsim.Network.Meter.tags m) (fun tag ->
+           (Msg.tag_name tag, Netsim.Network.Meter.sends m tag))
+       |> List.filter (fun (_, n) -> n > 0));
     disk =
       (let sum a (b : Storage.Disk.stats) =
          {
@@ -101,6 +107,9 @@ let pp ppf r =
     r.network.Netsim.Network.sent r.network.Netsim.Network.delivered
     r.network.Netsim.Network.dropped_loss r.network.Netsim.Network.dropped_down
     r.network.Netsim.Network.dropped_partition;
+  Fmt.pf ppf "messages: %a@,"
+    Fmt.(list ~sep:(any ", ") (pair ~sep:(any " ") string int))
+    r.messages;
   Fmt.pf ppf "disk: %d transfers, %dB, busy %a, %d dropped, %d rejected@,"
     r.disk.Storage.Disk.requests_completed r.disk.Storage.Disk.bytes_transferred
     span r.disk.Storage.Disk.busy_time r.disk.Storage.Disk.requests_dropped

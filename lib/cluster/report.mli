@@ -2,8 +2,8 @@
 
     Gathers everything measurable about a cluster run — outcome counts,
     latency distribution, network/disk/WAL/lock statistics per layer and
-    per node, and the raw ledger — into one value with a human-readable
-    rendering. The CLI's `run` subcommand prints this; tests pick fields
+    per node, messages per tag, and the ledger's counters — into one
+    value with a human-readable rendering. The CLI's `run` subcommand prints this; tests pick fields
     out of it. *)
 
 type node = {
@@ -25,6 +25,9 @@ type t = {
   latency_max : Simkit.Time.span;
   mean_lock_hold : Simkit.Time.span;  (** coordinator-side, all txns *)
   network : Netsim.Network.stats;
+  messages : (string * int) list;
+      (** per meter tag with any traffic, in tag order: {!Msg.tag_name}
+          and {!Netsim.Network.Meter.sends} *)
   disk : Storage.Disk.stats;
   nodes : node list;
   ledger : (string * int) list;

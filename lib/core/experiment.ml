@@ -76,6 +76,46 @@ type measured_costs = {
   acp_messages_per_txn : float;
 }
 
+type counts = {
+  sync_writes : int;
+  async_writes : int;
+  messages : int;
+  acp_messages : int;
+}
+
+let counts cluster =
+  let wal f =
+    Array.fold_left
+      (fun acc n -> acc + f (Storage.Wal.stats (Opc_cluster.Node.wal n)))
+      0
+      (Opc_cluster.Cluster.nodes cluster)
+  in
+  let meter = Opc_cluster.Cluster.meter cluster in
+  let messages = ref 0 and acp = ref 0 in
+  for tag = 0 to Acp.Wire.tag_count - 1 do
+    let n = Netsim.Network.Meter.sends meter tag in
+    messages := !messages + n;
+    if not (Acp.Wire.is_baseline_tag tag) then acp := !acp + n
+  done;
+  {
+    sync_writes = wal (fun s -> s.Storage.Wal.sync_writes);
+    async_writes = wal (fun s -> s.Storage.Wal.async_writes);
+    messages = !messages;
+    acp_messages = !acp;
+  }
+
+(* Per-transaction costs of the [count] transactions run since [before]
+   was read. *)
+let costs_since cluster ~before ~count kind =
+  let after = counts cluster in
+  let per f = float_of_int (f after - f before) /. float_of_int count in
+  {
+    kind;
+    sync_writes_per_txn = per (fun c -> c.sync_writes);
+    async_writes_per_txn = per (fun c -> c.async_writes);
+    acp_messages_per_txn = per (fun c -> c.acp_messages);
+  }
+
 let run_table1_measured ?(config = fig6_config) ?(count = 20) protocol =
   let config = { config with Opc_cluster.Config.protocol } in
   let cluster = Opc_cluster.Cluster.create config in
@@ -91,9 +131,7 @@ let run_table1_measured ?(config = fig6_config) ?(count = 20) protocol =
   (match Opc_cluster.Cluster.settle cluster with
   | Opc_cluster.Cluster.Quiescent -> ()
   | _ -> failwith "table1: warm-up did not settle");
-  let before =
-    Metrics.Ledger.snapshot (Opc_cluster.Cluster.ledger cluster)
-  in
+  let before = counts cluster in
   (* One at a time, so per-transaction division is exact. *)
   let rec one i =
     if i < count then
@@ -109,17 +147,7 @@ let run_table1_measured ?(config = fig6_config) ?(count = 20) protocol =
   (match Opc_cluster.Cluster.settle cluster with
   | Opc_cluster.Cluster.Quiescent -> ()
   | _ -> failwith "table1: run did not settle");
-  let diff =
-    Metrics.Ledger.diff ~after:(Opc_cluster.Cluster.ledger cluster) ~before
-  in
-  let get k = match List.assoc_opt k diff with Some v -> v | None -> 0 in
-  let per k = float_of_int (get k) /. float_of_int count in
-  {
-    kind = protocol;
-    sync_writes_per_txn = per "log.sync";
-    async_writes_per_txn = per "log.async";
-    acp_messages_per_txn = per "msg.acp";
-  }
+  costs_since cluster ~before ~count protocol
 
 type breakdown_point = {
   kind : Acp.Protocol.kind;
@@ -200,25 +228,13 @@ let run_abort_measured ?(config = fig6_config) ?(count = 20) protocol =
   (match Opc_cluster.Cluster.settle cluster with
   | Opc_cluster.Cluster.Quiescent -> ()
   | _ -> failwith "abort run: warm-up did not settle");
-  let before =
-    Metrics.Ledger.snapshot (Opc_cluster.Cluster.ledger cluster)
-  in
+  let before = counts cluster in
   let rec one i = if i < count then delete_sub ~k:(fun () -> one (i + 1)) in
   one 0;
   (match Opc_cluster.Cluster.settle cluster with
   | Opc_cluster.Cluster.Quiescent -> ()
   | _ -> failwith "abort run: did not settle");
-  let diff =
-    Metrics.Ledger.diff ~after:(Opc_cluster.Cluster.ledger cluster) ~before
-  in
-  let get k = match List.assoc_opt k diff with Some v -> v | None -> 0 in
-  let per k = float_of_int (get k) /. float_of_int count in
-  {
-    kind = protocol;
-    sync_writes_per_txn = per "log.sync";
-    async_writes_per_txn = per "log.async";
-    acp_messages_per_txn = per "msg.acp";
-  }
+  costs_since cluster ~before ~count protocol
 
 type sweep_point = { x : float; series : (Acp.Protocol.kind * float) list }
 

@@ -39,6 +39,19 @@ val run_fig6 :
 
 (** {1 Table I — protocol cost accounting} *)
 
+type counts = {
+  sync_writes : int;  (** Σ {!Storage.Wal.stats} [sync_writes] over the nodes *)
+  async_writes : int;  (** Σ {!Storage.Wal.stats} [async_writes] *)
+  messages : int;
+      (** {!Netsim.Network.Meter.sends} summed over the wire tags
+          (heartbeats excluded) *)
+  acp_messages : int;  (** the same over the non-baseline wire tags *)
+}
+
+val counts : Opc_cluster.Cluster.t -> counts
+(** A cluster's log writes and protocol messages so far, each read from
+    the module that owns the count. *)
+
 type measured_costs = {
   kind : Acp.Protocol.kind;
   sync_writes_per_txn : float;
@@ -50,8 +63,8 @@ val run_table1_measured :
   ?config:Opc_cluster.Config.t -> ?count:int -> Acp.Protocol.kind ->
   measured_costs
 (** Run [count] (default 20) isolated distributed CREATEs (one at a
-    time, so no batching blurs the accounting) and average the ledger's
-    write/message counters per transaction. The totals must equal the
+    time, so no batching blurs the accounting) and average the
+    {!counts} over them. The totals must equal the
     analytic {!Acp.Cost_model.failure_free} columns — the test suite
     asserts it. *)
 
@@ -77,8 +90,9 @@ val run_breakdown :
 val run_abort_measured :
   ?config:Opc_cluster.Config.t -> ?count:int -> Acp.Protocol.kind ->
   measured_costs
-(** Same accounting for the canonical abort: each measured CREATE
-    collides with an existing name at the worker, which votes NO. Must
+(** Same accounting for the canonical abort: each measured DELETE
+    targets a directory whose non-empty inode lives on the worker,
+    which votes NO. Must
     equal {!Acp.Cost_model.worker_rejected} (the §II-D claim that PrC
     aborts cost exactly what PrN aborts cost is a test). *)
 

@@ -2,31 +2,13 @@ type t = (string, int ref) Hashtbl.t
 
 let create () : t = Hashtbl.create 32
 
-let cell t key =
+let incr t key =
   match Hashtbl.find_opt t key with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace t key r;
-      r
+  | Some r -> Stdlib.incr r
+  | None -> Hashtbl.replace t key (ref 1)
 
-let incr t key = Stdlib.incr (cell t key)
-let add t key n = cell t key := !(cell t key) + n
 let get t key = match Hashtbl.find_opt t key with Some r -> !r | None -> 0
 
-let keys t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t []
-  |> List.sort String.compare
-
-let snapshot t = List.map (fun k -> (k, get t k)) (keys t)
-
-let diff ~after ~before =
-  let base k =
-    match List.assoc_opt k before with Some v -> v | None -> 0
-  in
-  List.map (fun k -> (k, get after k - base k)) (keys after)
-
-let reset t = Hashtbl.reset t
-
-let pp ppf t =
-  List.iter (fun (k, v) -> Fmt.pf ppf "%-28s %d@." k v) (snapshot t)
+let snapshot t =
+  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

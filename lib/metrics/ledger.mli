@@ -1,27 +1,17 @@
 (** Named counters.
 
     A ledger is a flat registry of integer counters identified by string
-    keys (["msg.prepare"], ["log.sync"], ...). Protocol code bumps
-    counters unconditionally; experiments snapshot and difference ledgers
-    to attribute costs to phases of a run. *)
+    keys (["acp.fence"], ["node.crash"], ...). It holds the counts no
+    other module keeps; a count that has an owner (the network meter,
+    a WAL, the cluster, the ingress, the batcher) is read from that
+    owner instead. *)
 
 type t
 
 val create : unit -> t
 val incr : t -> string -> unit
-val add : t -> string -> int -> unit
 val get : t -> string -> int
 (** 0 for a never-bumped key. *)
 
-val keys : t -> string list
-(** All keys ever bumped, sorted. *)
-
 val snapshot : t -> (string * int) list
 (** Sorted association list of all counters. *)
-
-val diff : after:t -> before:(string * int) list -> (string * int) list
-(** Per-key difference between a live ledger and an earlier {!snapshot}.
-    Keys absent from [before] count from zero. *)
-
-val reset : t -> unit
-val pp : Format.formatter -> t -> unit

@@ -11,12 +11,13 @@ let label_deliver = Simkit.Label.v Net "net.deliver"
    classification branches, so a new delivery-side branch that forgets
    to classify (the historical way message accounting drifts) breaks
    the law instead of vanishing. Send-time refusals ([rejected]) never
-   enter the fabric and sit outside the law. *)
+   enter the fabric and sit outside the law. The meter is the network's
+   only per-message count: {!stats} and {!in_flight} are sums over it. *)
 module Meter = struct
   type t = {
-    enabled : bool;
     tags : int;
     sent : int array;  (* copies accepted for transmission *)
+    duplicated : int array;  (* of [sent], the extra copies duplication added *)
     delivered : int array;  (* primary copies handed to the endpoint *)
     dup_delivered : int array;  (* duplicate copies handed to the endpoint *)
     dropped : int array;  (* copies dropped in flight (down / partition) *)
@@ -27,9 +28,9 @@ module Meter = struct
   let create ~tags =
     if tags <= 0 then invalid_arg "Network.Meter.create: tags must be positive";
     {
-      enabled = true;
       tags;
       sent = Array.make tags 0;
+      duplicated = Array.make tags 0;
       delivered = Array.make tags 0;
       dup_delivered = Array.make tags 0;
       dropped = Array.make tags 0;
@@ -37,48 +38,29 @@ module Meter = struct
       in_flight = Array.make tags 0;
     }
 
-  let disabled () =
-    {
-      enabled = false;
-      tags = 0;
-      sent = [||];
-      delivered = [||];
-      dup_delivered = [||];
-      dropped = [||];
-      rejected = [||];
-      in_flight = [||];
-    }
-
-  let is_recording m = m.enabled
   let tags m = m.tags
   let sent m tag = m.sent.(tag)
+  let duplicated m tag = m.duplicated.(tag)
   let delivered m tag = m.delivered.(tag)
   let dup_delivered m tag = m.dup_delivered.(tag)
   let dropped m tag = m.dropped.(tag)
   let rejected m tag = m.rejected.(tag)
   let in_flight m tag = m.in_flight.(tag)
+  let sends m tag = m.sent.(tag) - m.duplicated.(tag) + m.rejected.(tag)
 
-  (* Negative tags mean "meter off" at the call sites (the tag is only
-     computed while recording), so the notes need no enabled check. *)
-  let note_rejected m tag =
-    if tag >= 0 then m.rejected.(tag) <- m.rejected.(tag) + 1
+  let note_rejected m tag = m.rejected.(tag) <- m.rejected.(tag) + 1
+  let note_duplicated m tag = m.duplicated.(tag) <- m.duplicated.(tag) + 1
 
   let note_sent m tag =
-    if tag >= 0 then begin
-      m.sent.(tag) <- m.sent.(tag) + 1;
-      m.in_flight.(tag) <- m.in_flight.(tag) + 1
-    end
+    m.sent.(tag) <- m.sent.(tag) + 1;
+    m.in_flight.(tag) <- m.in_flight.(tag) + 1
 
-  let note_arrival m tag =
-    if tag >= 0 then m.in_flight.(tag) <- m.in_flight.(tag) - 1
-
-  let note_dropped m tag =
-    if tag >= 0 then m.dropped.(tag) <- m.dropped.(tag) + 1
+  let note_arrival m tag = m.in_flight.(tag) <- m.in_flight.(tag) - 1
+  let note_dropped m tag = m.dropped.(tag) <- m.dropped.(tag) + 1
 
   let note_delivered m tag ~dup =
-    if tag >= 0 then
-      if dup then m.dup_delivered.(tag) <- m.dup_delivered.(tag) + 1
-      else m.delivered.(tag) <- m.delivered.(tag) + 1
+    if dup then m.dup_delivered.(tag) <- m.dup_delivered.(tag) + 1
+    else m.delivered.(tag) <- m.delivered.(tag) + 1
 
   let imbalance m tag =
     m.sent.(tag)
@@ -86,7 +68,7 @@ module Meter = struct
        + m.in_flight.(tag))
 
   (* Exact check, tolerance 0: one (tag, difference) pair per broken
-     tag, empty when every tag balances (or the meter is off). *)
+     tag, empty when every tag balances. *)
   let check m =
     let bad = ref [] in
     for tag = m.tags - 1 downto 0 do
@@ -94,6 +76,13 @@ module Meter = struct
       if d <> 0 then bad := (tag, d) :: !bad
     done;
     !bad
+
+  let sum m f =
+    let n = ref 0 in
+    for tag = 0 to m.tags - 1 do
+      n := !n + f m tag
+    done;
+    !n
 end
 
 type 'msg envelope = {
@@ -144,9 +133,7 @@ type 'msg t = {
      [None] payloads (heartbeats) record nothing. Only consulted when
      [obs] is recording. *)
   span_of : 'msg -> (string * int * bool) option;
-  (* Maps a payload to its meter tag; only consulted while [meter] is
-     recording. *)
-  tag_of : 'msg -> int;
+  tag_of : 'msg -> int;  (* payload to meter tag *)
   meter : Meter.t;
   config : config;
   (* Live loss/duplication rates, initialized from [config] and adjustable
@@ -162,18 +149,15 @@ type 'msg t = {
      must not hash or allocate. Grown by [register]. *)
   mutable link_clock : Simkit.Time.t array;
   mutable link_cap : int;
-  mutable sent : int;
-  mutable delivered : int;
-  mutable duplicated : int;
+  (* The meter splits by tag, not by reason, so the drop reasons keep
+     their own counts. *)
   mutable dropped_loss : int;
   mutable dropped_down : int;
   mutable dropped_partition : int;
-  mutable in_flight : int;
 }
 
 let create ~engine ~rng ?trace ?obs ?journal ?recorder
-    ?(span_of = fun _ -> None) ?(tag_of = fun _ -> 0) ?meter
-    (config : config) =
+    ?(span_of = fun _ -> None) ~tags ~tag_of (config : config) =
   if config.drop_probability < 0.0 || config.drop_probability > 1.0 then
     invalid_arg "Network.create: drop_probability outside [0, 1]";
   if
@@ -189,7 +173,6 @@ let create ~engine ~rng ?trace ?obs ?journal ?recorder
   let recorder =
     match recorder with Some r -> r | None -> Obs.Recorder.disabled ()
   in
-  let meter = match meter with Some m -> m | None -> Meter.disabled () in
   {
     engine;
     rng;
@@ -199,7 +182,7 @@ let create ~engine ~rng ?trace ?obs ?journal ?recorder
     recorder;
     span_of;
     tag_of;
-    meter;
+    meter = Meter.create ~tags;
     config;
     drop_probability = config.drop_probability;
     duplicate_probability = config.duplicate_probability;
@@ -208,13 +191,9 @@ let create ~engine ~rng ?trace ?obs ?journal ?recorder
     cuts = Hashtbl.create 16;
     link_clock = [||];
     link_cap = 0;
-    sent = 0;
-    delivered = 0;
-    duplicated = 0;
     dropped_loss = 0;
     dropped_down = 0;
     dropped_partition = 0;
-    in_flight = 0;
   }
 
 let register t ~name handler =
@@ -330,9 +309,7 @@ let delivery_time t ~src ~dst =
 
 let send t ~src ~dst payload =
   let src_ep = endpoint t src and dst_ep = endpoint t dst in
-  (* One flag load + branch when the meter is off; the negative tag
-     turns every note below into a no-op without further checks. *)
-  let mtag = if t.meter.Meter.enabled then t.tag_of payload else -1 in
+  let mtag = t.tag_of payload in
   if not src_ep.up then begin
     t.dropped_down <- t.dropped_down + 1;
     Meter.note_rejected t.meter mtag;
@@ -352,14 +329,13 @@ let send t ~src ~dst payload =
     trace_drop t ~src ~dst "loss"
   end
   else begin
-    t.sent <- t.sent + 1;
     let sent_at = Simkit.Engine.now t.engine in
     let copies =
       if
         t.duplicate_probability > 0.0
         && Simkit.Rng.bernoulli t.rng t.duplicate_probability
       then begin
-        t.duplicated <- t.duplicated + 1;
+        Meter.note_duplicated t.meter mtag;
         2
       end
       else 1
@@ -369,7 +345,6 @@ let send t ~src ~dst payload =
          copies are the duplication fault, classified separately so the
          conservation law stays exact under duplicate bursts. *)
       let is_dup = copy > 1 in
-      t.in_flight <- t.in_flight + 1;
       Meter.note_sent t.meter mtag;
       let at = delivery_time t ~src ~dst in
       (if Obs.Tracer.is_recording t.obs then
@@ -379,7 +354,6 @@ let send t ~src ~dst payload =
              Obs.Tracer.span t.obs ~start:sent_at ~stop:at ~txn ~baseline
                ~category:Obs.Span.Network ~track:"net" ~name);
       let deliver () =
-        t.in_flight <- t.in_flight - 1;
         Meter.note_arrival t.meter mtag;
         if not dst_ep.up then begin
           t.dropped_down <- t.dropped_down + 1;
@@ -392,7 +366,6 @@ let send t ~src ~dst payload =
           trace_drop t ~src ~dst "partitioned in flight"
         end
         else begin
-          t.delivered <- t.delivered + 1;
           Meter.note_delivered t.meter mtag ~dup:is_dup;
           if Obs.Recorder.is_recording t.recorder then
             Obs.Recorder.record_delivery t.recorder ~time:at
@@ -411,13 +384,15 @@ let send t ~src ~dst payload =
 let meter t = t.meter
 
 let stats t =
+  let m = t.meter in
+  let duplicated = Meter.sum m Meter.duplicated in
   {
-    sent = t.sent;
-    delivered = t.delivered;
-    duplicated = t.duplicated;
+    sent = Meter.sum m Meter.sent - duplicated;
+    delivered = Meter.sum m Meter.delivered + Meter.sum m Meter.dup_delivered;
+    duplicated;
     dropped_loss = t.dropped_loss;
     dropped_down = t.dropped_down;
     dropped_partition = t.dropped_partition;
   }
 
-let in_flight t = t.in_flight
+let in_flight t = Meter.sum t.meter Meter.in_flight

@@ -47,24 +47,33 @@ type 'msg t
     classification branches, so a delivery-side code path that forgets
     to classify breaks the law instead of drifting silently. Send-time
     refusals (source down, partitioned link, random loss) are counted
-    as [rejected] and never enter the law. The meter is passive: no
-    allocation, no engine interaction, one flag load and one branch per
-    [send] when disabled. *)
+    as [rejected] and never enter the law.
+
+    Every network keeps one, and it is the network's only per-message
+    count: {!stats} and {!val:in_flight} are sums over its tags. The
+    meter is passive: no allocation, no engine interaction, a few array
+    increments per message. *)
 module Meter : sig
   type t
 
   val create : tags:int -> t
-  (** Counters for tags [0 .. tags-1]; the payload-to-tag map is the
-      [tag_of] argument of {!val:create}. *)
-
-  val disabled : unit -> t
-  val is_recording : t -> bool
+  (** Counters for tags [0 .. tags-1]. A network builds its own from
+      the [tags] and [tag_of] arguments of {!val:create}.
+      @raise Invalid_argument if [tags <= 0]. *)
 
   val tags : t -> int
 
   val sent : t -> int -> int
   (** Copies accepted for transmission (a duplicated message counts
       twice — the fabric really carries two copies). *)
+
+  val duplicated : t -> int -> int
+  (** Of {!sent}, the extra copies the duplication fault added. *)
+
+  val sends : t -> int -> int
+  (** {!val:send} calls with this tag:
+      [sent - duplicated + rejected] — what senders asked for, before
+      loss, partitions and duplication. *)
 
   val delivered : t -> int -> int
   (** Primary copies handed to the destination endpoint. *)
@@ -92,8 +101,14 @@ module Meter : sig
       list is the conservation law holding exactly (tolerance 0). *)
 end
 
+(** Whole-fabric totals. [sent], [delivered] and [duplicated] are sums
+    over the {!Meter}: [sent = Σ (Meter.sent - Meter.duplicated)],
+    [delivered = Σ (Meter.delivered + Meter.dup_delivered)],
+    [duplicated = Σ Meter.duplicated]. The meter splits by tag, not by
+    reason, so the three drop reasons are counted here; together they
+    equal [Σ (Meter.rejected + Meter.dropped)]. *)
 type stats = {
-  sent : int;  (** accepted for transmission *)
+  sent : int;  (** messages accepted for transmission *)
   delivered : int;  (** including duplicate deliveries *)
   duplicated : int;
   dropped_loss : int;  (** lost to [drop_probability] *)
@@ -109,8 +124,8 @@ val create :
   ?journal:Obs.Journal.t ->
   ?recorder:Obs.Recorder.t ->
   ?span_of:('msg -> (string * int * bool) option) ->
-  ?tag_of:('msg -> int) ->
-  ?meter:Meter.t ->
+  tags:int ->
+  tag_of:('msg -> int) ->
   config ->
   'msg t
 (** [obs] (default disabled) records one {!Obs.Span.Network} transit
@@ -123,10 +138,10 @@ val create :
     receives one cluster-wide [Heal] entry whenever {!heal} or
     {!heal_pair} actually removes a cut. [recorder] (default disabled)
     gets one {!Obs.Recorder.record_delivery} per delivered message.
-    [meter] (default disabled) keeps the per-tag conservation ledger,
-    with [tag_of] mapping each payload to its tag in
-    [0 .. Meter.tags - 1]; [tag_of] is only consulted while the meter
-    records. *)
+    The network's {!Meter} has [tags] tags; [tag_of] maps every payload
+    to its tag in [0 .. tags - 1] and runs once per {!val:send}.
+    @raise Invalid_argument if [tags <= 0] or a probability is outside
+    [0, 1]. *)
 
 val register : 'msg t -> name:string -> ('msg envelope -> unit) -> Address.t
 (** Register an endpoint with its delivery handler. Handlers run from
@@ -190,8 +205,8 @@ val duplicate_probability : 'msg t -> float
 val stats : 'msg t -> stats
 
 val meter : 'msg t -> Meter.t
-(** The conservation ledger passed at {!val:create} (disabled
-    otherwise). *)
+(** The network's conservation ledger. *)
 
 val in_flight : 'msg t -> int
-(** Messages accepted but not yet delivered or dropped. *)
+(** Copies accepted but not yet delivered or dropped:
+    [Σ Meter.in_flight]. *)

@@ -171,8 +171,7 @@ let submit t ~sync ?(txn = -1) records ~on_durable =
   match outcome with
   | `Accepted ->
       t.unforced <- t.unforced + List.length records;
-      if sync then t.sync_writes <- t.sync_writes + 1
-      else t.async_writes <- t.async_writes + 1;
+      count_accepted t ~sync;
       if Simkit.Trace.is_recording t.trace then
         Simkit.Trace.emitf t.trace
           ~time:(Simkit.Engine.now t.engine)

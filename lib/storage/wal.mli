@@ -24,6 +24,12 @@
 
 type 'r t
 
+(** The one count of a log's writes; Table I's log columns are sums of
+    [sync_writes] and [async_writes] over the nodes. A call is counted
+    when the device accepts it, not when it is made: a call rejected
+    from a fenced writer counts in [rejected_writes] only, and a
+    group-commit append still buffered when its node crashes is never
+    counted. Neither happens in a failure-free run. *)
 type stats = {
   sync_writes : int;  (** {!force} calls accepted by the device *)
   async_writes : int;  (** {!append_async} calls accepted *)

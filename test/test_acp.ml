@@ -321,7 +321,7 @@ let every_message =
       };
   ]
 
-(* The ledger and the network meter index flat arrays by tag: every
+(* The network meter indexes flat arrays by tag: every
    constructor needs its own tag, and the tags must fill
    [0, tag_count) with no gap. [every_message] lists the constructors in
    declaration order, which is also the pinned tag order. *)
@@ -339,7 +339,11 @@ let test_wire_tags_exhaustive () =
         (Wire.tag_name (Wire.tag m)))
     every_message;
   Alcotest.(check string) "below range" "?" (Wire.tag_name (-1));
-  Alcotest.(check string) "above range" "?" (Wire.tag_name Wire.tag_count)
+  Alcotest.(check string) "above range" "?" (Wire.tag_name Wire.tag_count);
+  Alcotest.(check bool) "no baseline tag below range" false
+    (Wire.is_baseline_tag (-1));
+  Alcotest.(check bool) "no baseline tag above range" false
+    (Wire.is_baseline_tag Wire.tag_count)
 
 let () =
   Alcotest.run "acp"

@@ -223,10 +223,10 @@ let test_local_transactions () =
   done;
   let ledger = Cluster.ledger cluster in
   Alcotest.(check int) "all local" 10 (Metrics.Ledger.get ledger "txn.local");
-  Alcotest.(check int) "no protocol messages" 0
-    (Metrics.Ledger.get ledger "msg.total");
+  let counts = Experiment.counts cluster in
+  Alcotest.(check int) "no protocol messages" 0 counts.Experiment.messages;
   Alcotest.(check int) "one sync write per op" 10
-    (Metrics.Ledger.get ledger "log.sync");
+    counts.Experiment.sync_writes;
   check_invariants cluster
 
 let test_submit_to_down_coordinator () =
@@ -627,9 +627,18 @@ let test_deterministic_runs () =
     let wl = Workload.storm cluster ~dir ~count:20 () in
     settle cluster;
     let s = Workload.stats wl in
+    let meter = Cluster.meter cluster in
     ( s.Workload.committed,
       Simkit.Time.to_ns (Cluster.now cluster),
-      Metrics.Ledger.snapshot (Cluster.ledger cluster) )
+      Metrics.Ledger.snapshot (Cluster.ledger cluster),
+      Netsim.Network.stats (Cluster.network cluster),
+      List.init (Netsim.Network.Meter.tags meter) (fun tag ->
+          ( Netsim.Network.Meter.sent meter tag,
+            Netsim.Network.Meter.duplicated meter tag,
+            Netsim.Network.Meter.delivered meter tag,
+            Netsim.Network.Meter.dup_delivered meter tag,
+            Netsim.Network.Meter.dropped meter tag,
+            Netsim.Network.Meter.rejected meter tag )) )
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "identical replays" true (a = b)
@@ -720,6 +729,63 @@ let test_fault_pp_and_inject () =
   Cluster.run_for cluster (Simkit.Time.span_ms 4);
   Alcotest.(check bool) "restarted" true (Node.is_up (Cluster.node cluster 1))
 
+(* Report.collect under loss, duplication and a crash: the network
+   totals it prints are the meter's sums, the drop reasons add up to
+   the meter's refusals plus in-flight drops, and the per-tag
+   "messages:" line accounts for every send. *)
+let test_report_collect () =
+  let cluster =
+    Cluster.create
+      {
+        Config.default with
+        servers = 4;
+        placement = Mds.Placement.Spread;
+        seed = 3;
+        network =
+          {
+            Netsim.Network.default_config with
+            drop_probability = 0.05;
+            duplicate_probability = 0.1;
+          };
+      }
+  in
+  let dir =
+    Cluster.add_directory cluster ~parent:(Cluster.root cluster) ~name:"d"
+      ~server:0 ()
+  in
+  let _wl = Workload.storm cluster ~dir ~count:30 () in
+  Fault.crash_at cluster ~server:1 ~at:(Simkit.Time.of_ns 20_000_000);
+  Fault.restart_at cluster ~server:1 ~at:(Simkit.Time.of_ns 400_000_000);
+  settle cluster;
+  let r = Report.collect cluster in
+  let m = Cluster.meter cluster in
+  let sum f =
+    List.fold_left
+      (fun acc tag -> acc + f m tag)
+      0
+      (List.init (Netsim.Network.Meter.tags m) Fun.id)
+  in
+  let open Netsim.Network in
+  let n = r.Report.network in
+  Alcotest.(check bool) "loss, duplication and a downed node all hit" true
+    (n.dropped_loss > 0 && n.duplicated > 0 && n.dropped_down > 0);
+  Alcotest.(check int) "sent = sum (sent - duplicated)"
+    (sum Meter.sent - sum Meter.duplicated)
+    n.sent;
+  Alcotest.(check int) "delivered = sum (delivered + dup_delivered)"
+    (sum Meter.delivered + sum Meter.dup_delivered)
+    n.delivered;
+  Alcotest.(check int) "duplicated = sum duplicated" (sum Meter.duplicated)
+    n.duplicated;
+  Alcotest.(check int) "rejected + dropped = loss + down + partition"
+    (sum Meter.rejected + sum Meter.dropped)
+    (n.dropped_loss + n.dropped_down + n.dropped_partition);
+  Alcotest.(check (list (pair int int))) "books balance" [] (Meter.check m);
+  Alcotest.(check int) "messages line covers every send" (sum Meter.sends)
+    (List.fold_left (fun acc (_, k) -> acc + k) 0 r.Report.messages);
+  Alcotest.(check bool) "heartbeats listed" true
+    (List.mem_assoc "HEARTBEAT" r.Report.messages)
+
 let per_protocol name f =
   List.map
     (fun p ->
@@ -770,6 +836,7 @@ let () =
           Alcotest.test_case "config validation" `Quick
             test_config_validation;
           Alcotest.test_case "fault pp/inject" `Quick test_fault_pp_and_inject;
+          Alcotest.test_case "report collect" `Quick test_report_collect;
         ]
         @ per_protocol "model: concurrent collisions"
             test_model_concurrent_collisions

@@ -437,11 +437,14 @@ let test_prc_presumed_commit () =
   | Some Acp.Txn.Committed -> ()
   | _ -> Alcotest.fail "coordinator side should have committed");
   (* The worker had to ask (DECISION_REQ) and got the presumption. *)
-  let ledger = Cluster.ledger cluster in
+  let sends wire =
+    Netsim.Network.Meter.sends (Cluster.meter cluster) (Acp.Wire.tag wire)
+  in
+  let txn = { Acp.Txn.origin = 0; seq = 0 } in
   Alcotest.(check bool) "worker asked for the outcome" true
-    (Metrics.Ledger.get ledger "msg.decision_req" > 0);
+    (sends (Acp.Wire.Decision_req { txn }) > 0);
   Alcotest.(check bool) "and was answered" true
-    (Metrics.Ledger.get ledger "msg.decision" > 0);
+    (sends (Acp.Wire.Decision { txn; committed = true }) > 0);
   match Cluster.check_invariants cluster with
   | [] -> ()
   | vs ->

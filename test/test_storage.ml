@@ -288,7 +288,8 @@ let make_san () =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:5 in
   let net : unit Opc.Netsim.Network.t =
-    Opc.Netsim.Network.create ~engine ~rng Opc.Netsim.Network.default_config
+    Opc.Netsim.Network.create ~engine ~rng ~tags:1 ~tag_of:(fun _ -> 0)
+      Opc.Netsim.Network.default_config
   in
   let a = Opc.Netsim.Network.register net ~name:"mds0" (fun _ -> ()) in
   let b = Opc.Netsim.Network.register net ~name:"mds1" (fun _ -> ()) in

@@ -177,7 +177,7 @@ let test_batching_flush_on_size () =
   Alcotest.(check int) "all ops batched" 8 s.Batching.batched_ops;
   (* Two merged transactions => far fewer log writes than 8 singles. *)
   Alcotest.(check int) "2 batches x 3 sync writes" 6
-    (Metrics.Ledger.get (Cluster.ledger cluster) "log.sync");
+    (Experiment.counts cluster).Experiment.sync_writes;
   check_invariants cluster
 
 let test_batching_flush_on_window () =
