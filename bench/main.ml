@@ -1430,7 +1430,9 @@ let regression_check ~against ~tolerance () =
       if p.Opc.Experiment.events <> base_events then
         Fmt.epr
           "bench check: note: dispatch count drifted (%d baseline, %d now) — \
-           the baseline predates a behavioural change@."
+           the baseline predates a change to what is scheduled (behaviour, \
+           or only how events are batched); events/s is then not \
+           comparable, so re-run bench scale@."
           base_events p.Opc.Experiment.events;
       Fmt.pr
         "1PC, %d servers, %d txns, seed %d:@.  baseline %.0f events/s (cpu), \

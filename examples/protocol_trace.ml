@@ -1,7 +1,8 @@
-(* Annotated message/log timelines of all four protocols for a single
+(* Annotated message/log timelines of all five protocols for a single
    distributed CREATE — the executable version of the paper's Figures
-   2-5. Shows exactly which messages cross the wire and which log writes
-   are forced, in simulated time order.
+   2-5 (PrN, PrC, EP, 1PC), plus the logless L1PC extension. Shows
+   exactly which messages cross the wire and which log writes are
+   forced, in simulated time order.
 
    Run with: dune exec examples/protocol_trace.exe *)
 

@@ -56,9 +56,10 @@ let obs_start t txn ~name =
 
 let obs_finish t id = Obs.Tracer.finish t.obs ~time:(Simkit.Engine.now t.engine) id
 
-let trace_txn t txn ~kind detail =
+let trace_txn t txn ~kind fmt =
   if Simkit.Trace.is_recording t.trace then
     Simkit.Trace.emitf t.trace
       ~time:(Simkit.Engine.now t.engine)
       ~source:(Netsim.Address.name t.self)
-      ~kind "%a %s" Txn.pp_id txn detail
+      ~kind ("%a " ^^ fmt) Txn.pp_id txn
+  else Format.ikfprintf ignore Format.str_formatter fmt

@@ -68,8 +68,10 @@ val hit : t -> int -> unit
 (** Record one traversal of a declared {!Edges} edge (no-op when the
     tap is disabled or the id is [-1]). *)
 
-val trace_txn : t -> Txn.id -> kind:string -> string -> unit
-(** Emit a trace entry attributed to this server about a transaction. *)
+val trace_txn :
+  t -> Txn.id -> kind:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
+(** Emit a trace entry attributed to this server about a transaction.
+    The detail is a format: on a disabled trace nothing is rendered. *)
 
 val obs_phase : t -> Txn.id -> string -> unit
 (** Record a zero-length {!Obs.Span.Phase} milestone for the

@@ -98,7 +98,7 @@ let owns t id =
 let send_to t server msg =
   t.ctx.Context.send ~dst:(t.ctx.Context.address_of server) msg
 
-let trace t id ~kind detail = Context.trace_txn t.ctx id ~kind detail
+let trace t id ~kind fmt = Context.trace_txn t.ctx id ~kind fmt
 let hit t id = Context.hit t.ctx id
 
 (* ------------------------------------------------------------------ *)
@@ -129,7 +129,7 @@ let coord_abort ?(notify_worker = false) t c reason =
   Context.obs_phase t.ctx c.id "l1pc.coord.abort";
   Common.undo t.ctx c.undo_list;
   c.undo_list <- [];
-  trace t c.id ~kind:"txn.abort" reason;
+  trace t c.id ~kind:"txn.abort" "%s" reason;
   if notify_worker then
     send_to t c.worker (Wire.Decide { txn = c.id; commit = false; updates = [] });
   Common.release t.ctx c.id;
@@ -441,8 +441,7 @@ let work_on_vote_req t ~src txn updates =
                     end
                 | Error e ->
                     hit t Edges.Lp1.w_reject;
-                    trace t txn ~kind:"txn.reject"
-                      (Fmt.str "%a" Mds.State.pp_error e);
+                    trace t txn ~kind:"txn.reject" "%a" Mds.State.pp_error e;
                     Common.release t.ctx txn;
                     work_drop t w;
                     send_to t w.coordinator (Wire.Vote { txn; vote = false })))
@@ -591,8 +590,8 @@ let rec arm_recover_timer t r =
                Context.trace_txn t.ctx
                  { Txn.origin = t.ctx.Context.self_server; seq = 0 }
                  ~kind:"txn.recover"
-                 (Fmt.str "quorum read short %d member(s); proceeding"
-                    (List.length r.awaiting));
+                 "quorum read short %d member(s); proceeding"
+                 (List.length r.awaiting);
                finish_collection t r
              end
              else begin
@@ -658,8 +657,7 @@ and resurrect t r (id : Txn.id) updates =
             | Error e ->
                 hit t Edges.Lp1.r_stale;
                 trace t id ~kind:"txn.recover"
-                  (Fmt.str "stale replica entry (%a); dropping"
-                     Mds.State.pp_error e);
+                  "stale replica entry (%a); dropping" Mds.State.pp_error e;
                 Common.release t.ctx id;
                 work_drop t w;
                 rep_drop_all t id);

@@ -133,7 +133,7 @@ let outstanding t = Hashtbl.length t.coords + Hashtbl.length t.works
 let send_to t server msg =
   t.ctx.Context.send ~dst:(t.ctx.Context.address_of server) msg
 
-let trace t id ~kind detail = Context.trace_txn t.ctx id ~kind detail
+let trace t id ~kind fmt = Context.trace_txn t.ctx id ~kind fmt
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
@@ -175,7 +175,7 @@ let coord_abort t c reason =
   Context.obs_phase t.ctx c.id "1pc.coord.abort";
   Common.undo t.ctx c.undo_list;
   c.undo_list <- [];
-  trace t c.id ~kind:"txn.abort" reason;
+  trace t c.id ~kind:"txn.abort" "%s" reason;
   (* The abort must be durable before the client hears it, or a crash
      would re-execute the transaction from the REDO record and could
      contradict the reply. *)
@@ -197,8 +197,7 @@ let coord_fence_and_decide t c =
     c.phase <- C_recovering;
     Common.cancel_timer c.timer;
     t.ctx.Context.ledger |> fun l -> Metrics.Ledger.incr l "acp.fence";
-    trace t c.id ~kind:"txn.fence"
-      (Fmt.str "fencing unresponsive worker %d" c.worker);
+    trace t c.id ~kind:"txn.fence" "fencing unresponsive worker %d" c.worker;
     t.ctx.Context.fence_and_read
       ~target:(t.ctx.Context.address_of c.worker)
       ~on_read:(fun images ->
@@ -478,8 +477,7 @@ let work_on_update_req t ~src txn updates =
                         (Wire.Updated { txn; ok = true });
                       arm_ack_req_timer t w)
               | Error e ->
-                  trace t txn ~kind:"txn.reject"
-                    (Fmt.str "%a" Mds.State.pp_error e);
+                  trace t txn ~kind:"txn.reject" "%a" Mds.State.pp_error e;
                   Common.release t.ctx txn;
                   work_drop t w;
                   work_reject t txn;

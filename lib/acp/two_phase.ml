@@ -89,7 +89,7 @@ let outstanding t = Hashtbl.length t.coords + Hashtbl.length t.works
 let send_to t server msg =
   t.ctx.Context.send ~dst:(t.ctx.Context.address_of server) msg
 
-let trace t id ~kind detail = Context.trace_txn t.ctx id ~kind detail
+let trace t id ~kind fmt = Context.trace_txn t.ctx id ~kind fmt
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
@@ -144,7 +144,7 @@ and coord_abort_decided t c reason =
   Common.cancel_timer c.timer;
   Common.undo t.ctx c.undo_list;
   c.undo_list <- [];
-  trace t c.id ~kind:"txn.abort" reason;
+  trace t c.id ~kind:"txn.abort" "%s" reason;
   t.ctx.Context.force
     [ Log_record.Aborted { txn = c.id } ]
     ~on_durable:(fun () ->
@@ -286,7 +286,7 @@ let submit t (txn : Txn.t) =
   Hashtbl.replace t.coords (key c.id) c;
   c.ospan <- Context.obs_start t.ctx c.id ~name:"2pc.coord";
   t.ctx.Context.mark c.id "submit";
-  trace t c.id ~kind:"txn.start" (Fmt.str "%s coordinator" t.v.variant_name);
+  trace t c.id ~kind:"txn.start" "%s coordinator" t.v.variant_name;
   t.ctx.Context.force
     [ Log_record.Started { txn = c.id; participants = c.workers } ]
     ~on_durable:(fun () ->
@@ -542,7 +542,7 @@ let work_on_update_req t ~src txn updates piggyback_prepare =
     hit t t.e.Edges.w_fresh;
     Hashtbl.replace t.works (key txn) w;
     w.w_ospan <- Context.obs_start t.ctx txn ~name:"2pc.worker";
-    trace t txn ~kind:"txn.start" (Fmt.str "%s worker" t.v.variant_name);
+    trace t txn ~kind:"txn.start" "%s worker" t.v.variant_name;
     Common.acquire_locks t.ctx ~txn ~oids:(Common.lock_oids_of_updates updates)
       ~on_granted:(fun () ->
         match w.pending_decision with
@@ -563,8 +563,7 @@ let work_on_update_req t ~src txn updates piggyback_prepare =
                   end
               | Error e ->
                   hit t t.e.Edges.w_reject;
-                  trace t txn ~kind:"txn.reject"
-                    (Fmt.str "%a" Mds.State.pp_error e);
+                  trace t txn ~kind:"txn.reject" "%a" Mds.State.pp_error e;
                   Common.release t.ctx txn;
                   work_drop t w;
                   send_to t w.coordinator (Wire.Updated { txn; ok = false })))

@@ -6,6 +6,18 @@ type waiting = {
   mutable callback : (Acp.Txn.outcome -> unit) option;
 }
 
+(* First instant, in ns, of each milestone of a transaction whose
+   spans are not all known yet; -1 = not reached. *)
+type milestones = {
+  submit : int;
+  mutable locked : int;
+  mutable replied : int;
+  mutable released : int;
+}
+
+type span = Lock_hold | Reply | Release
+type span_sum = { mutable count : int; mutable total_ns : int }
+
 type t = {
   config : Config.t;
   engine : Simkit.Engine.t;
@@ -25,7 +37,8 @@ type t = {
   mutable nodes : Node.t array;
   root : Mds.Update.ino;
   waiting : (int * int, waiting) Hashtbl.t;
-  marks : (int * int, (string * Simkit.Time.t) list ref) Hashtbl.t;
+  milestones : (int * int, milestones) Hashtbl.t;
+  spans : span_sum array;  (* indexed by [span_index] *)
   latency_committed : Metrics.Histogram.t;
   latency_aborted : Metrics.Histogram.t;
   mutable committed : int;
@@ -101,35 +114,49 @@ let client_reply t id outcome =
           Metrics.Ledger.incr t.ledger "reply.duplicate")
   | None -> Metrics.Ledger.incr t.ledger "reply.duplicate"
 
+let span_index = function Lock_hold -> 0 | Reply -> 1 | Release -> 2
+
+(* Fold a span into its sum once both ends are known; an end before
+   its start is no span. *)
+let close t span ~from_ ~to_ =
+  if from_ >= 0 && to_ >= from_ then begin
+    let s = t.spans.(span_index span) in
+    s.count <- s.count + 1;
+    s.total_ns <- s.total_ns + (to_ - from_)
+  end
+
+(* Every transaction marks "submit" first, and once it has replied and
+   released every span it can complete is known: its entry goes, and
+   later marks (a recovered coordinator re-executing) find none. *)
 let mark t id label =
-  let cell =
-    match Hashtbl.find_opt t.marks (key id) with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace t.marks (key id) r;
-        r
-  in
-  cell := (label, now t) :: !cell
+  let now = Simkit.Time.to_ns (now t) in
+  match Hashtbl.find_opt t.milestones (key id) with
+  | None ->
+      if label = "submit" then
+        Hashtbl.replace t.milestones (key id)
+          { submit = now; locked = -1; replied = -1; released = -1 }
+  | Some m ->
+      (match label with
+      | "locked" when m.locked < 0 ->
+          m.locked <- now;
+          close t Lock_hold ~from_:now ~to_:m.released
+      | "replied" when m.replied < 0 ->
+          m.replied <- now;
+          close t Reply ~from_:m.submit ~to_:now
+      | "released" when m.released < 0 ->
+          m.released <- now;
+          close t Lock_hold ~from_:m.locked ~to_:now;
+          close t Release ~from_:m.submit ~to_:now
+      | _ -> ());
+      if m.replied >= 0 && m.released >= 0 then
+        Hashtbl.remove t.milestones (key id)
 
-let marks t id =
-  match Hashtbl.find_opt t.marks (key id) with
-  | Some r -> List.rev !r
-  | None -> []
+let span_count t span = t.spans.(span_index span).count
 
-let mark_span t id ~from_ ~to_ =
-  let ms = marks t id in
-  match (List.assoc_opt from_ ms, List.assoc_opt to_ ms) with
-  | Some a, Some b when Simkit.Time.( >= ) b a -> Some (Simkit.Time.diff b a)
-  | _ -> None
-
-let all_mark_spans t ~from_ ~to_ =
-  Hashtbl.fold
-    (fun (origin, seq) _ acc ->
-      match mark_span t { Acp.Txn.origin; seq } ~from_ ~to_ with
-      | Some span -> span :: acc
-      | None -> acc)
-    t.marks []
+let mean_span t span =
+  let s = t.spans.(span_index span) in
+  if s.count = 0 then Simkit.Time.zero_span
+  else Simkit.Time.span_ns (s.total_ns / s.count)
 
 (* ------------------------------------------------------------------ *)
 (* Restart plumbing                                                    *)
@@ -280,7 +307,8 @@ let create (config : Config.t) =
       nodes = [||];
       root;
       waiting = Hashtbl.create 1024;
-      marks = Hashtbl.create 1024;
+      milestones = Hashtbl.create 1024;
+      spans = Array.init 3 (fun _ -> { count = 0; total_ns = 0 });
       latency_committed = Metrics.Histogram.create ();
       latency_aborted = Metrics.Histogram.create ();
       committed = 0;

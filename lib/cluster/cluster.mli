@@ -205,15 +205,18 @@ val txn_counts : t -> int * int
 val latency_committed : t -> Metrics.Histogram.t
 val latency_aborted : t -> Metrics.Histogram.t
 
-val marks : t -> Acp.Txn.id -> (string * Simkit.Time.t) list
-(** Milestones recorded for a transaction ("submit", "locked",
-    "replied", "released"), in chronological order. *)
+(** Spans between the milestones a coordinator marks for each
+    transaction ("submit", "locked", "replied", "released"), each from
+    the first instant the milestone was reached. Folded into running
+    sums as they complete, so nothing here grows with history. *)
+type span =
+  | Lock_hold  (** "locked" to "released": lock hold time *)
+  | Reply  (** "submit" to "replied" *)
+  | Release  (** "submit" to "released" *)
 
-val mark_span :
-  t -> Acp.Txn.id -> from_:string -> to_:string -> Simkit.Time.span option
-(** Duration between two milestones, if both were recorded. *)
+val span_count : t -> span -> int
+(** Transactions whose span has completed. *)
 
-val all_mark_spans :
-  t -> from_:string -> to_:string -> Simkit.Time.span list
-(** The [from_ -> to_] duration of every transaction that recorded both
-    milestones (e.g. ["locked"] -> ["released"] = lock hold time). *)
+val mean_span : t -> span -> Simkit.Time.span
+(** Mean over those transactions, rounded down to the ns; zero when
+    there are none. *)

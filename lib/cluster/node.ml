@@ -299,7 +299,7 @@ let create sv ~server ~root =
   holder := Some t;
   t
 
-let rec heartbeat_loop t epoch =
+let rec heartbeat_loop t epoch peers =
   if t.up && t.epoch = epoch then begin
     if Storage.San.is_fenced t.sv.san t.address then begin
       (* Disk-lease check. Fencing assumes a STONITH follows, but when
@@ -317,15 +317,12 @@ let rec heartbeat_loop t epoch =
       t.sv.stonith t.address
     end
     else begin
-      List.iter
-        (fun peer ->
-          Netsim.Network.send t.sv.network ~src:t.address ~dst:peer
-            Msg.Heartbeat)
-        (peers t);
+      Netsim.Network.multicast t.sv.network ~src:t.address ~dsts:peers
+        Msg.Heartbeat;
       ignore
         (Simkit.Engine.schedule t.sv.engine ~label:label_heartbeat
            ~after:t.sv.config.Config.heartbeat_interval (fun () ->
-             heartbeat_loop t epoch))
+             heartbeat_loop t epoch peers))
     end
   end
 
@@ -364,14 +361,14 @@ let bring_up ?(on_recovered = fun () -> ()) t ~recover =
       | None -> ()
     end
   in
+  let peers = peers t in
   let detector =
     Netsim.Failure_detector.create ~engine:t.sv.engine
-      ~timeout:t.sv.config.Config.detector_timeout
-      ~peers:(peers t) ~on_suspect ()
+      ~timeout:t.sv.config.Config.detector_timeout ~peers ~on_suspect ()
   in
   t.detector <- Some detector;
   Netsim.Failure_detector.start detector;
-  heartbeat_loop t epoch;
+  heartbeat_loop t epoch peers;
   if not recover then begin
     t.serving <- true;
     journal_node t Obs.Journal.Serving

@@ -307,18 +307,21 @@ let delivery_time t ~src ~dst =
   t.link_clock.(key) <- at;
   at
 
-let send t ~src ~dst payload =
-  let src_ep = endpoint t src and dst_ep = endpoint t dst in
-  let mtag = t.tag_of payload in
+(* Admission, shared by [send] and [multicast]: the send-time checks
+   (source down, partition, loss) and the duplication draw, in that
+   order. Returns how many copies enter the fabric: 0, 1 or 2. *)
+let admit t ~src_ep ~src ~dst mtag =
   if not src_ep.up then begin
     t.dropped_down <- t.dropped_down + 1;
     Meter.note_rejected t.meter mtag;
-    trace_drop t ~src ~dst "source down"
+    trace_drop t ~src ~dst "source down";
+    0
   end
   else if not (reachable t src dst) then begin
     t.dropped_partition <- t.dropped_partition + 1;
     Meter.note_rejected t.meter mtag;
-    trace_drop t ~src ~dst "partitioned"
+    trace_drop t ~src ~dst "partitioned";
+    0
   end
   else if
     t.drop_probability > 0.0
@@ -326,60 +329,109 @@ let send t ~src ~dst payload =
   then begin
     t.dropped_loss <- t.dropped_loss + 1;
     Meter.note_rejected t.meter mtag;
-    trace_drop t ~src ~dst "loss"
+    trace_drop t ~src ~dst "loss";
+    0
+  end
+  else if
+    t.duplicate_probability > 0.0
+    && Simkit.Rng.bernoulli t.rng t.duplicate_probability
+  then begin
+    Meter.note_duplicated t.meter mtag;
+    2
+  end
+  else 1
+
+(* One accepted copy enters the fabric: count it, fix its delivery
+   time on the FIFO link and record its transit span. *)
+let launch t ~src ~dst ~sent_at mtag payload =
+  Meter.note_sent t.meter mtag;
+  let at = delivery_time t ~src ~dst in
+  (if Obs.Tracer.is_recording t.obs then
+     match t.span_of payload with
+     | None -> ()
+     | Some (name, txn, baseline) ->
+         Obs.Tracer.span t.obs ~start:sent_at ~stop:at ~txn ~baseline
+           ~category:Obs.Span.Network ~track:"net" ~name);
+  at
+
+(* Delivery, shared by [send] and [multicast]: one copy at its delivery
+   instant, with the destination's down and partition checks made
+   now. The first copy on the FIFO link is the logical message; a
+   second is the duplication fault, classified separately so the
+   conservation law stays exact under duplicate bursts. *)
+let deliver t ~src ~sent_at ~at mtag payload dst_ep ~dup =
+  let dst = dst_ep.address in
+  Meter.note_arrival t.meter mtag;
+  if not dst_ep.up then begin
+    t.dropped_down <- t.dropped_down + 1;
+    Meter.note_dropped t.meter mtag;
+    trace_drop t ~src ~dst "destination down"
+  end
+  else if not (reachable t src dst) then begin
+    t.dropped_partition <- t.dropped_partition + 1;
+    Meter.note_dropped t.meter mtag;
+    trace_drop t ~src ~dst "partitioned in flight"
   end
   else begin
-    let sent_at = Simkit.Engine.now t.engine in
-    let copies =
-      if
-        t.duplicate_probability > 0.0
-        && Simkit.Rng.bernoulli t.rng t.duplicate_probability
-      then begin
-        Meter.note_duplicated t.meter mtag;
-        2
-      end
-      else 1
-    in
-    for copy = 1 to copies do
-      (* The first copy on the FIFO link is the logical message; later
-         copies are the duplication fault, classified separately so the
-         conservation law stays exact under duplicate bursts. *)
-      let is_dup = copy > 1 in
-      Meter.note_sent t.meter mtag;
-      let at = delivery_time t ~src ~dst in
-      (if Obs.Tracer.is_recording t.obs then
-         match t.span_of payload with
-         | None -> ()
-         | Some (name, txn, baseline) ->
-             Obs.Tracer.span t.obs ~start:sent_at ~stop:at ~txn ~baseline
-               ~category:Obs.Span.Network ~track:"net" ~name);
-      let deliver () =
-        Meter.note_arrival t.meter mtag;
-        if not dst_ep.up then begin
-          t.dropped_down <- t.dropped_down + 1;
-          Meter.note_dropped t.meter mtag;
-          trace_drop t ~src ~dst "destination down"
-        end
-        else if not (reachable t src dst) then begin
-          t.dropped_partition <- t.dropped_partition + 1;
-          Meter.note_dropped t.meter mtag;
-          trace_drop t ~src ~dst "partitioned in flight"
-        end
-        else begin
-          Meter.note_delivered t.meter mtag ~dup:is_dup;
-          if Obs.Recorder.is_recording t.recorder then
-            Obs.Recorder.record_delivery t.recorder ~time:at
-              ~src:(Address.index src) ~dst:(Address.index dst);
-          if Simkit.Trace.is_recording t.trace then
-            Simkit.Trace.emitf t.trace ~time:at ~source:(Address.name dst)
-              ~kind:"net.recv" "from %a" Address.pp src;
-          dst_ep.handler { src; dst; sent_at; payload }
-        end
-      in
-      ignore
-        (Simkit.Engine.schedule_at t.engine ~label:label_deliver ~at deliver)
-    done
+    Meter.note_delivered t.meter mtag ~dup;
+    if Obs.Recorder.is_recording t.recorder then
+      Obs.Recorder.record_delivery t.recorder ~time:at
+        ~src:(Address.index src) ~dst:(Address.index dst);
+    if Simkit.Trace.is_recording t.trace then
+      Simkit.Trace.emitf t.trace ~time:at ~source:(Address.name dst)
+        ~kind:"net.recv" "from %a" Address.pp src;
+    dst_ep.handler { src; dst; sent_at; payload }
   end
+
+let send t ~src ~dst payload =
+  let src_ep = endpoint t src and dst_ep = endpoint t dst in
+  let mtag = t.tag_of payload in
+  let sent_at = Simkit.Engine.now t.engine in
+  for copy = 1 to admit t ~src_ep ~src ~dst mtag do
+    let at = launch t ~src ~dst ~sent_at mtag payload in
+    let dup = copy > 1 in
+    ignore
+      (Simkit.Engine.schedule_at t.engine ~label:label_deliver ~at (fun () ->
+           deliver t ~src ~sent_at ~at mtag payload dst_ep ~dup))
+  done
+
+(* One event per run of consecutive copies sharing a delivery time.
+   Exact: sent one by one, those copies would take consecutive sequence
+   numbers at one instant, and the engine dispatches equal-time events
+   in sequence order, so they would run back to back anyway; whatever
+   a handler schedules gets a later sequence number either way. *)
+let multicast t ~src ~dsts payload =
+  let src_ep = endpoint t src in
+  let mtag = t.tag_of payload in
+  let sent_at = Simkit.Engine.now t.engine in
+  let run = ref [] (* newest first *) and run_at = ref sent_at in
+  let flush () =
+    match !run with
+    | [] -> ()
+    | rev_copies ->
+        let copies = List.rev rev_copies and at = !run_at in
+        run := [];
+        ignore
+          (Simkit.Engine.schedule_at t.engine ~label:label_deliver ~at
+             (fun () ->
+               List.iter
+                 (fun (dst_ep, dup) ->
+                   deliver t ~src ~sent_at ~at mtag payload dst_ep ~dup)
+                 copies))
+  in
+  List.iter
+    (fun dst ->
+      let dst_ep = endpoint t dst in
+      for copy = 1 to admit t ~src_ep ~src ~dst mtag do
+        let at = launch t ~src ~dst ~sent_at mtag payload in
+        if not (Simkit.Time.equal at !run_at) then begin
+          flush ();
+          run_at := at
+        end;
+        run := (dst_ep, copy > 1) :: !run
+      done)
+    dsts;
+  flush ()
 
 let meter t = t.meter
 

@@ -162,6 +162,16 @@ val send : 'msg t -> src:Address.t -> dst:Address.t -> 'msg -> unit
     flight does not receive it). Self-sends are delivered with the same
     latency as any other message. *)
 
+val multicast : 'msg t -> src:Address.t -> dsts:Address.t list -> 'msg -> unit
+(** [multicast t ~src ~dsts payload] is [List.iter (fun dst -> send t
+    ~src ~dst payload) dsts], copy for copy: the same send-time checks,
+    random draws in the same order, FIFO floors, meter counts, spans and
+    delivery-time checks. Only the engine sees a difference: each run of
+    consecutive accepted copies that share a delivery time is one
+    delivery event instead of one event per copy. That is exact, because
+    those copies would have been dispatched back to back anyway. Without
+    jitter a whole fan-out is one event. *)
+
 val set_up : 'msg t -> Address.t -> unit
 val set_down : 'msg t -> Address.t -> unit
 (** Mark an endpoint crashed: it no longer receives, and [send] from it is

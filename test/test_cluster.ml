@@ -337,20 +337,33 @@ let test_marks_recorded () =
   in
   check_committed "create"
     (run_op cluster (Mds.Op.create_file ~parent:dir ~name:"f"));
-  let holds = Cluster.all_mark_spans cluster ~from_:"locked" ~to_:"released" in
-  Alcotest.(check int) "one lock-hold sample" 1 (List.length holds);
-  let reply = Cluster.all_mark_spans cluster ~from_:"submit" ~to_:"replied" in
-  Alcotest.(check int) "one reply sample" 1 (List.length reply);
+  let count span = Cluster.span_count cluster span in
+  Alcotest.(check int) "one lock-hold sample" 1 (count Cluster.Lock_hold);
+  Alcotest.(check int) "one reply sample" 1 (count Cluster.Reply);
+  Alcotest.(check int) "one release sample" 1 (count Cluster.Release);
   (* 1PC releases at the same instant it replies. *)
-  match
-    ( Cluster.all_mark_spans cluster ~from_:"submit" ~to_:"released",
-      reply )
-  with
-  | [ released ], [ replied ] ->
-      Alcotest.(check int) "reply and release coincide under 1PC"
-        (Simkit.Time.span_to_ns replied)
-        (Simkit.Time.span_to_ns released)
-  | _ -> Alcotest.fail "marks missing"
+  Alcotest.(check int) "reply and release coincide under 1PC"
+    (Simkit.Time.span_to_ns (Cluster.mean_span cluster Cluster.Reply))
+    (Simkit.Time.span_to_ns (Cluster.mean_span cluster Cluster.Release))
+
+(* An idle cluster's engine work is the heartbeat mesh: per server and
+   per 50 ms interval, one heartbeat tick, one delivery event for its
+   fan-out to every peer, and the detector's sweeps. With one event per
+   heartbeat copy it grew with the number of peers. *)
+let test_idle_dispatch_per_server () =
+  let dispatches servers =
+    let cluster = mk_cluster ~servers () in
+    let engine = Cluster.engine cluster in
+    let before = Simkit.Engine.dispatched engine in
+    Cluster.run_for cluster (Simkit.Time.span_s 1);
+    Simkit.Engine.dispatched engine - before
+  in
+  let small = dispatches 4 and large = dispatches 16 in
+  Alcotest.(check int) "4 servers: a whole number per server" 0 (small mod 4);
+  Alcotest.(check int) "16 servers: a whole number per server" 0
+    (large mod 16);
+  Alcotest.(check int) "dispatches per server, 16 vs 4 servers" (small / 4)
+    (large / 16)
 
 let test_lock_hold_ordering () =
   (* The mechanism behind Figure 6: 1PC holds the contended directory
@@ -363,9 +376,9 @@ let test_lock_hold_ordering () =
     in
     check_committed "create"
       (run_op cluster (Mds.Op.create_file ~parent:dir ~name:"f"));
-    match Cluster.all_mark_spans cluster ~from_:"locked" ~to_:"released" with
-    | [ span ] -> Simkit.Time.span_to_ns span
-    | _ -> Alcotest.fail "expected one sample"
+    Alcotest.(check int) "one sample" 1
+      (Cluster.span_count cluster Cluster.Lock_hold);
+    Simkit.Time.span_to_ns (Cluster.mean_span cluster Cluster.Lock_hold)
   in
   let prn = hold Acp.Protocol.Prn and opc = hold Acp.Protocol.Opc in
   Alcotest.(check bool) "1PC holds locks for less time" true (opc < prn)
@@ -543,9 +556,9 @@ let test_reads_share_writers_exclude () =
       | _ -> Alcotest.fail "reader should see the committed file");
   settle cluster;
   let write_released =
-    match Cluster.all_mark_spans cluster ~from_:"submit" ~to_:"released" with
-    | [ span ] -> Simkit.Time.add t0 span
-    | _ -> Alcotest.fail "expected one write"
+    Alcotest.(check int) "one write" 1
+      (Cluster.span_count cluster Cluster.Release);
+    Simkit.Time.add t0 (Cluster.mean_span cluster Cluster.Release)
   in
   Alcotest.(check bool) "reader waited for the writer" true
     (Simkit.Time.( >= ) !read_done write_released)
@@ -822,6 +835,8 @@ let () =
           Alcotest.test_case "fig6 matches closed-form model" `Slow
             test_fig6_matches_model;
           Alcotest.test_case "marks" `Quick test_marks_recorded;
+          Alcotest.test_case "idle dispatches per server" `Quick
+            test_idle_dispatch_per_server;
           Alcotest.test_case "lock hold ordering" `Quick
             test_lock_hold_ordering;
           Alcotest.test_case "deterministic" `Quick test_deterministic_runs;

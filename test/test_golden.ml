@@ -224,7 +224,7 @@ let test_scale_point () =
   Alcotest.(check int) "submitted" 1896 p.Experiment.submitted;
   Alcotest.(check int) "committed" 1896 p.committed;
   Alcotest.(check int) "aborted" 0 p.aborted;
-  Alcotest.(check int) "events" 37944 p.events;
+  Alcotest.(check int) "events" 26424 p.events;
   Alcotest.(check int) "sim elapsed ns" 11_937_751_000
     (Simkit.Time.span_to_ns p.sim_elapsed);
   Alcotest.(check int) "p50 ns" 82_220_000
@@ -244,7 +244,7 @@ let test_scale_point_l1pc () =
   Alcotest.(check int) "submitted" 1898 p.Experiment.submitted;
   Alcotest.(check int) "committed" 1898 p.committed;
   Alcotest.(check int) "aborted" 0 p.aborted;
-  Alcotest.(check int) "events" 26976 p.events;
+  Alcotest.(check int) "events" 26832 p.events;
   Alcotest.(check int) "sim elapsed ns" 125_436_000
     (Simkit.Time.span_to_ns p.sim_elapsed);
   Alcotest.(check int) "p50 ns" 804_000 (Simkit.Time.span_to_ns p.latency_p50);
@@ -269,7 +269,7 @@ let test_scale_point_recorder_enabled () =
   Alcotest.(check int) "submitted (recorder on)" 1896 p.Experiment.submitted;
   Alcotest.(check int) "committed (recorder on)" 1896 p.committed;
   Alcotest.(check int) "aborted (recorder on)" 0 p.aborted;
-  Alcotest.(check int) "events (recorder on)" 37944 p.events;
+  Alcotest.(check int) "events (recorder on)" 26424 p.events;
   Alcotest.(check int) "sim elapsed ns (recorder on)" 11_937_751_000
     (Simkit.Time.span_to_ns p.sim_elapsed);
   Alcotest.(check int) "p50 ns (recorder on)" 82_220_000
@@ -295,7 +295,7 @@ let test_scale_point_coverage_enabled () =
   Alcotest.(check int) "submitted (coverage on)" 1896 p.Experiment.submitted;
   Alcotest.(check int) "committed (coverage on)" 1896 p.committed;
   Alcotest.(check int) "aborted (coverage on)" 0 p.aborted;
-  Alcotest.(check int) "events (coverage on)" 37944 p.events;
+  Alcotest.(check int) "events (coverage on)" 26424 p.events;
   Alcotest.(check int) "sim elapsed ns (coverage on)" 11_937_751_000
     (Simkit.Time.span_to_ns p.sim_elapsed);
   Alcotest.(check int) "p50 ns (coverage on)" 82_220_000

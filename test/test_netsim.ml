@@ -400,6 +400,136 @@ let test_meter_conservation () =
   ignore (Engine.run engine);
   Alcotest.(check int) "drained" 0 (Network.Meter.in_flight meter 0)
 
+(* ------------------------------------------------------------------ *)
+(* Multicast = the same sends, one by one                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Five endpoints fan messages out in rounds under loss, duplication
+   and (optionally) jitter. e0 is cut from e3 for the first rounds (the
+   copies are refused at send time), e1 and e3 are cut while copies are
+   in flight, e2 goes down with copies in flight and comes back, e4
+   downs e2 from its handler (so a copy later in the same delivery
+   event finds it down) and e1 answers every fan-out with a [send]
+   (events scheduled from inside a delivery). [fan_out] is the only
+   difference between the two runs compared. *)
+let fan_out_scenario ~seed ~jitter_us ~fan_out =
+  let engine = Engine.create () in
+  let rng = Rng.create ~seed in
+  let config =
+    {
+      Network.latency = Time.span_us 100;
+      jitter = Time.span_us jitter_us;
+      drop_probability = 0.15;
+      duplicate_probability = 0.25;
+    }
+  in
+  let tag_of s = if s.[0] = 'r' then 1 else 0 in
+  let net : string Network.t =
+    Network.create ~engine ~rng ~tags:2 ~tag_of config
+  in
+  let log = ref [] in
+  let eps = Array.make 5 None in
+  let ep i = Option.get eps.(i) in
+  let record env =
+    let dst = Address.index env.Network.dst in
+    let dup =
+      List.exists (fun (_, d, p, _) -> d = dst && p = env.Network.payload) !log
+    in
+    let at = Time.to_ns (Engine.now engine) in
+    log := (at, dst, env.Network.payload, dup) :: !log
+  in
+  for i = 0 to 4 do
+    let handler env =
+      record env;
+      let p = env.Network.payload in
+      if i = 1 && p.[0] = 'm' then
+        Network.send net ~src:(ep 1) ~dst:env.Network.src ("r" ^ p);
+      if i = 4 && p = "m0.3" then Network.set_down net (ep 2)
+    in
+    let name = Printf.sprintf "e%d" i in
+    eps.(i) <- Some (Network.register net ~name handler)
+  done;
+  Network.partition net [ ep 0 ] [ ep 3 ];
+  let round r =
+    let src = ep (r mod 3) in
+    let dsts = List.map ep [ 4; 1; 2; 3; 0 ] in
+    fan_out net ~src ~dsts (Printf.sprintf "m%d.%d" (r mod 3) r);
+    match r with
+    | 4 -> Network.heal net
+    | 6 -> Network.partition net [ ep 1 ] [ ep 3 ]
+    | 7 -> Network.set_down net (ep 2)
+    | 8 -> Network.heal_pair net (ep 1) (ep 3)
+    | 9 | 5 -> Network.set_up net (ep 2)
+    | _ -> ()
+  in
+  for r = 0 to 11 do
+    ignore
+      (Engine.schedule engine ~after:(Time.span_us (30 * r)) (fun () ->
+           round r))
+  done;
+  ignore (Engine.run engine);
+  let m = Network.meter net in
+  let per_tag =
+    List.init 2 (fun tag ->
+        Network.Meter.
+          [
+            sent m tag; duplicated m tag; delivered m tag; dup_delivered m tag;
+            dropped m tag; rejected m tag; in_flight m tag;
+          ])
+  in
+  let s = Network.stats net in
+  let stats =
+    Network.
+      [
+        s.sent; s.delivered; s.duplicated; s.dropped_loss; s.dropped_down;
+        s.dropped_partition;
+      ]
+  in
+  let next_draw = Rng.int rng 1_000_000 in
+  (List.rev !log, per_tag, stats, next_draw, Engine.dispatched engine)
+
+let multicast_and_sends ~seed ~jitter_us =
+  ( fan_out_scenario ~seed ~jitter_us ~fan_out:Network.multicast,
+    fan_out_scenario ~seed ~jitter_us ~fan_out:(fun net ~src ~dsts p ->
+        List.iter (fun dst -> Network.send net ~src ~dst p) dsts) )
+
+let prop_multicast_equals_sends =
+  QCheck.Test.make ~count:60 ~name:"multicast = the same sends one by one"
+    QCheck.(pair (int_bound 10_000) (oneofl [ 0; 40 ]))
+    (fun (seed, jitter_us) ->
+      let ( (log_m, tags_m, stats_m, draw_m, events_m),
+            (log_s, tags_s, stats_s, draw_s, events_s) ) =
+        multicast_and_sends ~seed ~jitter_us
+      in
+      if log_m <> log_s then QCheck.Test.fail_report "delivery logs differ";
+      if tags_m <> tags_s then QCheck.Test.fail_report "meter tags differ";
+      if stats_m <> stats_s then QCheck.Test.fail_report "stats differ";
+      if draw_m <> draw_s then QCheck.Test.fail_report "next draw differs";
+      events_m <= events_s)
+
+(* The property above compares runs that reach what it claims to
+   cover: at seed 1, with and without jitter, a duplicate is delivered,
+   a copy dies in flight and a send is refused; and without jitter the
+   fan-outs take fewer events. *)
+let test_fan_out_scenario_coverage () =
+  List.iter
+    (fun jitter_us ->
+      let (log, tags, _, _, events_m), (_, _, _, _, events_s) =
+        multicast_and_sends ~seed:1 ~jitter_us
+      in
+      let what s = Printf.sprintf "%s (jitter %d us)" s jitter_us in
+      Alcotest.(check bool) (what "a duplicate delivered") true
+        (List.exists (fun (_, _, _, dup) -> dup) log);
+      (match tags with
+      | (_ :: _ :: _ :: _ :: dropped :: rejected :: _) :: _ ->
+          Alcotest.(check bool) (what "a copy dropped in flight") true
+            (dropped > 0);
+          Alcotest.(check bool) (what "a send refused") true (rejected > 0)
+      | _ -> Alcotest.fail "meter row");
+      if jitter_us = 0 then
+        Alcotest.(check bool) (what "fewer events") true (events_m < events_s))
+    [ 0; 40 ]
+
 let () =
   Alcotest.run "netsim"
     [
@@ -418,6 +548,9 @@ let () =
           Alcotest.test_case "self send" `Quick test_self_send;
           Alcotest.test_case "in flight count" `Quick test_in_flight_count;
           Alcotest.test_case "endpoints" `Quick test_endpoints;
+          QCheck_alcotest.to_alcotest prop_multicast_equals_sends;
+          Alcotest.test_case "fan-out scenario coverage" `Quick
+            test_fan_out_scenario_coverage;
         ] );
       ( "meter",
         [

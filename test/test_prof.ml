@@ -72,7 +72,7 @@ let test_scale_point_prof_enabled () =
   Alcotest.(check int) "submitted" 1896 p.Experiment.submitted;
   Alcotest.(check int) "committed" 1896 p.committed;
   Alcotest.(check int) "aborted" 0 p.aborted;
-  Alcotest.(check int) "events" 37944 p.events;
+  Alcotest.(check int) "events" 26424 p.events;
   Alcotest.(check int) "sim elapsed ns" 11_937_751_000
     (Simkit.Time.span_to_ns p.sim_elapsed);
   Alcotest.(check int) "p50 ns" 82_220_000

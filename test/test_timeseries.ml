@@ -288,7 +288,7 @@ let test_scale_point_sampling_enabled () =
   Alcotest.(check int) "submitted" 1896 p.Experiment.submitted;
   Alcotest.(check int) "committed" 1896 p.committed;
   Alcotest.(check int) "aborted" 0 p.aborted;
-  Alcotest.(check int) "events" 37944 p.events;
+  Alcotest.(check int) "events" 26424 p.events;
   Alcotest.(check int) "sim elapsed ns" 11_937_751_000
     (Simkit.Time.span_to_ns p.sim_elapsed);
   Alcotest.(check int) "p50 ns" 82_220_000
@@ -319,10 +319,10 @@ let test_disabled_sampler_overhead () =
           Acp.Protocol.Opc
       in
       let dt = Sys.time () -. t0 in
-      Alcotest.(check int) "same simulation" 37944 p.Experiment.events;
+      Alcotest.(check int) "same simulation" 26424 p.Experiment.events;
       if dt < !best then best := dt
     done;
-    float_of_int 37944 /. !best
+    float_of_int 26424 /. !best
   in
   let enabled_config =
     {
